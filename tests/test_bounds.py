@@ -2,10 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from mibounds import bounds
 from mibounds.bounds import (
     MLE_GAP_LIMIT_BITS,
     BoundReport,
@@ -22,10 +26,18 @@ from mibounds.bounds import (
     nonperiodic_fourier_bound,
     sigma_squared,
 )
+from mibounds.channels import (
+    CHANNEL_KINDS,
+    NoisyQpeModel,
+    chi_closed_form,
+    purified_state_family,
+)
 from mibounds.errors import (
     DivergenceError,
     DomainError,
+    GridTooCoarseError,
     NonNormalizedDensityError,
+    NumericalFailureError,
     ValidationError,
 )
 from mibounds.numerics import PeriodicGridFunction
@@ -186,6 +198,100 @@ def test_state_family_validation():
         StateFamily(1.0, np.ones((64, 2)))  # norm sqrt(2), not 1
     with pytest.raises(ValidationError):
         StateFamily(1.0, np.ones(64))  # not 2-d
+
+
+def _binary_family(g):
+    phis = np.arange(g) / g
+    states = np.stack(
+        [np.full(g, 1.0 + 0j), np.exp(2j * np.pi * phis)], axis=1
+    ) / np.sqrt(2.0)
+    return StateFamily(1.0, states)
+
+
+def _random_states(rng, g, dim):
+    states = rng.standard_normal((g, dim)) + 1j * rng.standard_normal((g, dim))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    return states
+
+
+def test_state_family_rejects_nan_sample():
+    states = _binary_family(64).states.copy()
+    states[5, 1] = np.nan
+    with pytest.raises(ValidationError):
+        StateFamily(1.0, states)
+
+
+def test_states_route_rejects_non_finite_spectrum():
+    family = _binary_family(64)
+    family.states[5, 1] = np.nan  # the array stays writable after validation
+    with pytest.raises(NumericalFailureError):
+        fourier_bound_from_states(family, PriorDensity.uniform(1.0, 64), (-2, 2))
+
+
+def test_states_route_checks_alias_window():
+    family = _binary_family(64)
+    prior = PriorDensity.uniform(1.0, 64)
+    fourier_bound_from_states(family, prior, (-15, 15))  # needs exactly 62
+    with pytest.raises(GridTooCoarseError):
+        fourier_bound_from_states(family, prior, (-16, 16))
+    with pytest.raises(ValidationError):
+        fourier_bound_from_states(family, prior, (3, 2))
+
+
+def test_states_route_blocks_match_unblocked_fft():
+    g = 64
+    width = bounds._STATES_BLOCK // g
+    dim = 3 * width + 7  # three full blocks and a partial one
+    states = _random_states(np.random.default_rng(11), g, dim)
+    phis = np.arange(g) / g
+    density = 1.0 + 0.5 * np.cos(TWO_PI * phis)
+    prior = PriorDensity(
+        1.0, density,
+        q_values=np.sqrt(density) * np.exp(0.6j * np.pi * np.sin(TWO_PI * phis)),
+    )
+    ks = np.arange(-7, 9)
+    rep = fourier_bound_from_states(StateFamily(1.0, states), prior, (-7, 8))
+    coeffs = np.fft.fft(prior.q_values[:, None] * states, axis=0) / g
+    oracle = (np.abs(coeffs[np.mod(ks, g)]) ** 2).sum(axis=1)
+    assert np.array_equal(rep.spectrum.ks, ks)
+    assert np.max(np.abs(rep.spectrum.weights - oracle)) < 1e-12
+
+
+def test_states_route_memory_is_input_plus_one_block():
+    states = _random_states(np.random.default_rng(3), 256, 8192)  # 32 MiB
+    prior = PriorDensity.uniform(1.0, 256)
+    limit = states.nbytes / 4
+    tracemalloc.start()
+    try:
+        family = StateFamily(1.0, states)
+        family_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        fourier_bound_from_states(family, prior, (-8, 8))
+        route_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family.states is states
+    assert family_peak < limit
+    assert route_peak < limit
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    kind=hst.sampled_from(CHANNEL_KINDS),
+    n_qubits=hst.integers(1, 4),
+    eta=hst.floats(0.0, 1.0),
+    extra=hst.integers(0, 40),
+)
+def test_states_route_matches_chi_closed_form(kind, n_qubits, eta, extra):
+    model = NoisyQpeModel(kind, n_qubits, eta)
+    k_side = model.n_calls + 2
+    g = 4 * k_side + 2 + 2 * extra  # the alias window's minimum grid and up
+    prior = PriorDensity.uniform(1.0, g)
+    family = StateFamily(1.0, purified_state_family(model, prior.grid))
+    rep = fourier_bound_from_states(family, prior, (-k_side, k_side))
+    assert abs(rep.bound_bits - chi_closed_form(model)) < 1e-8
+    assert rep.spectrum.weights.sum() <= 1.0 + 1e-9
+    assert rep.flags == ()
 
 
 def test_bound_report_json_schema():
