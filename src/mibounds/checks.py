@@ -42,9 +42,8 @@ from .numerics import (
 )
 from .protocols import (
     EntangledState,
-    _circulant_joint,
-    _synthesized,
-    discrete_mi,
+    circulant_mi,
+    covariant_posterior,
     fourier_bound_ceiling,
     optimize_en_state,
     posterior_entropy,
@@ -294,7 +293,7 @@ def run_protocols_checks(seed=0, trials=100):
     results = []
     rng = np.random.default_rng(seed)
 
-    # duality: quadrature MI equals minus the posterior entropy
+    # duality: circulant MI equals minus the posterior entropy
     worst = 0.0
     for _ in range(10):
         n = int(rng.integers(2, 7))
@@ -302,8 +301,7 @@ def run_protocols_checks(seed=0, trials=100):
         c /= np.linalg.norm(c)
         state = EntangledState(c)
         ent = posterior_entropy(state, 512)
-        mi = discrete_mi(_circulant_joint(_synthesized(c.astype(complex), 512),
-                                          512))
+        mi = circulant_mi(covariant_posterior(state, 512).values)
         worst = max(worst, abs(mi + ent))
     results.append(_result("protocols", "mi_entropy_duality", worst < 1e-6,
                            f"max |MI + H| {worst:.3e} bits"))
@@ -357,6 +355,8 @@ SUITES = {
 
 def run_suite(name, seed=0, trials=100):
     """Run one named suite (or `all`) and return CheckResult rows."""
+    if int(trials) < 1:
+        raise ValidationError("trials must be at least 1")
     if name == "all":
         rows = []
         for suite in ("numerics", "bounds", "channels", "protocols"):

@@ -368,6 +368,8 @@ TWO_SEED_KEYS = {
 
 
 def cmd_two_seed(args, command):
+    if args.trials < 1:
+        raise ValidationError("--trials must be at least 1")
     if not 1 <= args.n_min <= args.n_max:
         raise ValidationError("need 1 <= n-min <= n-max")
     rng = np.random.default_rng(args.seed)

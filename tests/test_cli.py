@@ -240,6 +240,12 @@ def test_check_protocols_with_trials(capsys):
     assert "4/4 checks passed" in out
 
 
+def test_check_protocols_rejects_nonpositive_trials(capsys):
+    code, out, err = run_cli(capsys, "check", "protocols", "--trials", "-3")
+    assert code == 2
+    assert "trials" in err and "PASS" not in out
+
+
 def test_optimize_json(capsys):
     code, out, _ = run_cli(
         capsys, "optimize", "--N", "7", "--restarts", "3", "--seed", "1"
@@ -289,6 +295,16 @@ def test_two_seed_trials(capsys):
     for trial in log["trials"]:
         assert trial["n_calls"] in (2, 3, 4)
         assert trial["mi_merged"] <= trial["mi_single"] + 1e-9
+
+
+def test_two_seed_rejects_nonpositive_trials(capsys, tmp_path):
+    out_file = tmp_path / "log.json"
+    code, _, err = run_cli(
+        capsys, "two-seed", "--trials", "-1", "--out", str(out_file)
+    )
+    assert code == 2
+    assert "trials" in err
+    assert not out_file.exists()
 
 
 def test_two_seed_validation(capsys):

@@ -1,12 +1,17 @@
 """Entangled covariant protocols: posteriors, optimization, seed splitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from mibounds.errors import DomainError, GridTooCoarseError, ValidationError
 from mibounds.protocols import (
     EntangledState,
     SeedPair,
+    circulant_mi,
     covariant_posterior,
     default_grid,
     discrete_mi,
@@ -135,6 +140,68 @@ def test_discrete_mi_validation():
         discrete_mi(np.zeros((4, 4)))
     # independent rows and columns carry no information
     assert abs(discrete_mi(np.full((8, 8), 1.0 / 64.0))) < 1e-12
+
+
+def _circulant_matrix(r):
+    """Oracle: the explicit joint P[s, t] = r((t - s) mod G) / G^2."""
+    n_grid = r.size
+    idx = np.mod(np.arange(n_grid)[None, :] - np.arange(n_grid)[:, None], n_grid)
+    return r[idx] / (n_grid * n_grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hst.lists(hst.one_of(hst.just(0.0), hst.floats(1e-6, 1e3)),
+                 min_size=2, max_size=256).filter(any))
+def test_circulant_mi_matches_matrix_oracle(weights):
+    r = np.array(weights)
+    assert abs(circulant_mi(r) - discrete_mi(_circulant_matrix(r))) < 1e-12
+
+
+def test_circulant_mi_validation():
+    with pytest.raises(DomainError):
+        circulant_mi(np.array([0.5, -0.1, 0.3]))
+    with pytest.raises(DomainError):
+        circulant_mi(np.zeros(4))
+    assert abs(circulant_mi(np.ones(8))) < 1e-12
+    assert circulant_mi(np.array([0.0, 0.0, 2.0, 0.0])) == 2.0
+
+
+def _synthesized_oracle(coeffs, n_grid):
+    padded = np.zeros(n_grid, dtype=complex)
+    padded[: coeffs.size] = coeffs
+    return np.abs(np.fft.ifft(padded) * n_grid) ** 2
+
+
+def test_two_seed_matches_matrix_oracle():
+    """Closed-form two-seed MIs equal discrete_mi of the G x G joints."""
+    rng = np.random.default_rng(5)
+    n_grid = 256
+    for _ in range(50):
+        pair = random_seed_pair(int(rng.integers(2, 5)), rng)
+        c = pair.state.coefficients
+        r_single = _synthesized_oracle(c, n_grid)
+        r_1 = _synthesized_oracle(np.conj(pair.a) * c, n_grid)
+        r_2 = _synthesized_oracle(np.conj(pair.b) * c, n_grid)
+        split = sum(r.mean() * discrete_mi(_circulant_matrix(r))
+                    for r in (r_1, r_2) if r.mean() > 1e-12)
+        res = two_seed_experiment(pair, n_grid)
+        assert abs(res.mi_single - discrete_mi(_circulant_matrix(r_single))) < 1e-12
+        assert abs(res.mi_merged - discrete_mi(_circulant_matrix(r_1 + r_2))) < 1e-12
+        assert abs(res.mi_split - split) < 1e-12
+
+
+def test_two_seed_large_grid_memory_is_linear():
+    """G = 16384 needs O(G) memory, not a 2 GiB G x G index matrix."""
+    pair = random_seed_pair(4, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        res = two_seed_experiment(pair, 16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite([res.mi_single, res.mi_split, res.mi_merged]).all()
+    assert res.always_ok
+    assert peak < 8 * 2**20
 
 
 def test_seed_pair_validation():
