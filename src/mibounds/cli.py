@@ -183,6 +183,8 @@ def cmd_bound(args, command):
         raise ValidationError("method must be fourier or fisher")
     if args.prior != "uniform":
         raise ValidationError("only the uniform prior is supported here")
+    if args.grid is not None and args.grid < 1:
+        raise ValidationError("--grid must be positive")
 
     if args.channel:
         if args.M is None or args.eta is None:
@@ -270,6 +272,8 @@ def cmd_figure(args, command):
     for flag, kw in _FIGURE_KWARGS[args.name].items():
         val = getattr(args, flag)
         if val is not None:
+            if flag in ("n_eta", "n_sigma") and val < 1:
+                raise ValidationError(f"--{flag.replace('_', '-')} must be at least 1")
             kwargs[kw] = val
     datasets = FIGURES[args.name](**kwargs)
     out_dir = Path(args.out_dir)

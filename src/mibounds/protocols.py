@@ -17,10 +17,10 @@ has the closed form log2 G - H(r / sum r) in the error density r: a
 trial costs three length-G FFTs and O(G) memory.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, GridTooCoarseError, ValidationError
 from .numerics import (
@@ -42,7 +42,7 @@ class EntangledState:
         c = np.asarray(self.coefficients, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise ValidationError("coefficients must be a non-empty 1-d array")
-        if abs((c * c).sum() - 1.0) > 1e-10:
+        if not abs((c * c).sum() - 1.0) <= 1e-10:  # fails closed on NaN
             raise ValidationError("coefficients must satisfy sum c_k^2 = 1")
         object.__setattr__(self, "coefficients", c)
 
@@ -101,8 +101,17 @@ def fourier_bound_ceiling(state: EntangledState) -> float:
     return entropy_bits_of_weights(state.coefficients**2)
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call: scipy serves only
+    the optimizer and costs more to import than the rest of the package.
+    optimize_en_state looks this name up at call time, so rebinding
+    protocols.minimize (to wrap or count the calls) takes effect."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
-                      entropy_tol=1e-10, analytic_gradient=True):
+                      entropy_tol=1e-10):
     """Minimize the posterior entropy over real unit-norm amplitudes.
 
     Runs a quasi-Newton descent in the ambient coordinates x with
@@ -139,9 +148,6 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
         g_x = (g_c - float(g_c @ c) * c) / r  # project out the scale direction
         return float(val), g_x
 
-    def value_only(x):
-        return value_and_grad(x)[0]
-
     starts = [np.full(n, 1.0)]
     for i in range(1, max(1, int(restarts))):
         stream = np.random.default_rng([int(seed), i])
@@ -149,17 +155,11 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
 
     best_c, best_val, trace = None, np.inf, []
     for x0 in starts:
-        if analytic_gradient:
-            res = minimize(
-                value_and_grad, x0, jac=True, method="L-BFGS-B",
-                options={"ftol": entropy_tol * 1e-2, "gtol": 1e-9,
-                         "maxiter": 5000},
-            )
-        else:
-            res = minimize(
-                value_only, x0, method="L-BFGS-B",
-                options={"ftol": entropy_tol * 1e-2, "maxiter": 5000},
-            )
+        res = minimize(
+            value_and_grad, x0, jac=True, method="L-BFGS-B",
+            options={"ftol": entropy_tol * 1e-2, "gtol": 1e-9,
+                     "maxiter": 5000},
+        )
         c = res.x / np.linalg.norm(res.x)
         val = float(value_and_grad(c)[0])
         trace.append(val)
@@ -188,7 +188,7 @@ class SeedPair:
         if a.shape != (n,) or b.shape != (n,):
             raise ValidationError("seed vectors must match the state length")
         mods = np.abs(a) ** 2 + np.abs(b) ** 2
-        if np.max(np.abs(mods - 1.0)) > 1e-10:
+        if not np.max(np.abs(mods - 1.0)) <= 1e-10:  # fails closed on NaN
             raise ValidationError(
                 "seeds must satisfy |a_n|^2 + |b_n|^2 = 1 for every n"
             )
@@ -214,8 +214,8 @@ def discrete_mi(joint) -> float:
     if np.any(joint < 0.0):
         raise DomainError("joint weights must be nonnegative")
     mass = joint.sum()
-    if mass <= 0.0:
-        raise DomainError("joint weights must have positive mass")
+    if not (math.isfinite(mass) and mass > 0.0):  # NaN or inf weights
+        raise DomainError("joint weights must have finite positive mass")
     p = joint / mass
     rows = p.sum(axis=1)
     cols = p.sum(axis=0)
@@ -236,8 +236,8 @@ def circulant_mi(r) -> float:
     if np.any(r < 0.0):
         raise DomainError("circulant weights must be nonnegative")
     mass = r.sum()
-    if mass <= 0.0:
-        raise DomainError("circulant weights must have positive mass")
+    if not (math.isfinite(mass) and mass > 0.0):  # NaN or inf weights
+        raise DomainError("circulant weights must have finite positive mass")
     return float(np.log2(r.size) - entropy_bits_of_weights(r / mass))
 
 

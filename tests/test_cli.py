@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mibounds
 from mibounds.cli import main
 
 REPORT_KEYS = {
@@ -95,6 +99,17 @@ def test_bound_rejects_bad_channel_parameters(capsys):
         capsys, "bound", "--channel", "dephasing", "--M", "2", "--eta", "1.5"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("grid", ["0", "-4"])
+@pytest.mark.parametrize("method", ["fourier", "fisher"])
+def test_bound_rejects_nonpositive_grid(capsys, grid, method):
+    code, out, err = run_cli(
+        capsys, "bound", "--channel", "dephasing", "--M", "2", "--eta", "1",
+        "--method", method, "--grid", grid,
+    )
+    assert code == 2 and "--grid" in err
+    assert out == ""
 
 
 def test_bound_model_csv(capsys, tmp_path):
@@ -202,6 +217,19 @@ def test_figure_determinism(capsys, tmp_path):
     assert run_cli(capsys, *args)[0] == 0
     assert (tmp_path / "b_sigma.csv").read_bytes() == first_csv
     assert (tmp_path / "b_sigma.svg").read_bytes() == first_svg
+
+
+@pytest.mark.parametrize("name,flag", [("b_sigma", "--n-sigma"),
+                                       ("chi_qpe", "--n-eta"),
+                                       ("transition", "--n-eta")])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_figure_rejects_nonpositive_point_counts(capsys, tmp_path, name, flag,
+                                                 count):
+    code, out, err = run_cli(
+        capsys, "figure", name, flag, count, "--out-dir", str(tmp_path)
+    )
+    assert code == 2 and flag in err
+    assert out == "" and not list(tmp_path.iterdir())
 
 
 def test_figure_unknown_name(capsys):
@@ -356,3 +384,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_bound_and_check_channels_do_not_import_scipy():
+    """Only the optimizer needs scipy; bound and check channels skip it."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import mibounds
+        from mibounds import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["bound", "--channel", "dephasing", "--M", "2",
+                               "--eta", "0.5"]),
+                     cli.main(["check", "channels"])]
+        print(codes, sorted(m for m in sys.modules
+                            if m == "scipy" or m.startswith("scipy.")))
+    """)
+    src = str(Path(mibounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] []"

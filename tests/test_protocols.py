@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from mibounds import protocols
 from mibounds.errors import DomainError, GridTooCoarseError, ValidationError
 from mibounds.protocols import (
     EntangledState,
@@ -29,6 +30,9 @@ def test_entangled_state_validation():
     st = EntangledState.uniform(3)
     assert st.n_calls == 3
     assert np.allclose(st.coefficients, 0.5)
+    for bad in (np.nan, np.inf):  # fails closed: NaN compares False
+        with pytest.raises(ValidationError):
+            EntangledState(np.array([bad, 0.0]))
 
 
 def test_posterior_is_fejer_kernel_for_uniform_weights():
@@ -106,6 +110,21 @@ def test_optimizer_beats_flat_weights():
     assert st.coefficients.sum() > 0.0
 
 
+def test_optimizer_calls_module_minimize_once_per_start(monkeypatch):
+    """optimize_en_state resolves protocols.minimize at call time, so a
+    rebinding of the module attribute sees every restart."""
+    calls = []
+    original = protocols.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "minimize", counting)
+    optimize_en_state(7, restarts=2)
+    assert calls == ["L-BFGS-B", "L-BFGS-B"]
+
+
 def test_optimizer_deterministic_per_seed():
     a = optimize_en_state(4, restarts=3, seed=11)
     b = optimize_en_state(4, restarts=3, seed=11)
@@ -138,6 +157,8 @@ def test_discrete_mi_validation():
         discrete_mi(np.array([[0.5, -0.1], [0.3, 0.3]]))
     with pytest.raises(DomainError):
         discrete_mi(np.zeros((4, 4)))
+    with pytest.raises(DomainError):
+        discrete_mi(np.array([[np.nan, 1.0], [0.5, 0.5]]))
     # independent rows and columns carry no information
     assert abs(discrete_mi(np.full((8, 8), 1.0 / 64.0))) < 1e-12
 
@@ -162,6 +183,9 @@ def test_circulant_mi_validation():
         circulant_mi(np.array([0.5, -0.1, 0.3]))
     with pytest.raises(DomainError):
         circulant_mi(np.zeros(4))
+    for bad in (np.nan, np.inf):  # entropy_bits_of_weights would drop NaN
+        with pytest.raises(DomainError):
+            circulant_mi(np.array([bad, 1.0, 0.5, 0.5]))
     assert abs(circulant_mi(np.ones(8))) < 1e-12
     assert circulant_mi(np.array([0.0, 0.0, 2.0, 0.0])) == 2.0
 
@@ -212,6 +236,13 @@ def test_seed_pair_validation():
         SeedPair(st, good, np.full(4, 0.8, dtype=complex))
     with pytest.raises(ValidationError):
         SeedPair(st, good[:3], good[:3])
+    zeros = np.zeros(4, dtype=complex)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            SeedPair(st, np.array([bad, 1, 1, 1], dtype=complex), zeros)
+        with pytest.raises(ValidationError):
+            SeedPair(st, np.ones(4, dtype=complex),
+                     np.array([bad, 0, 0, 0], dtype=complex))
 
 
 def test_two_seed_degenerate_split_changes_nothing():
