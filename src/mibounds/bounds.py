@@ -263,7 +263,9 @@ def fourier_bound_from_overlap(f: PeriodicGridFunction, k_range=None) -> BoundRe
 
     Valid for unitary encodings under the uniform prior, where the linear
     Fourier coefficients of f are exactly the spectral weights f_k.
-    Requires f(0) = 1 within 1e-8.
+    Requires f(0) = 1 within 1e-8. Flags "truncated_spectrum" when more
+    than 1e-9 of the mass lies outside the k window, as the states route
+    does.
     """
     if abs(f.values[0] - 1.0) > 1e-8:
         raise ValidationError("overlap must satisfy f(0) = 1 within 1e-8")
@@ -285,11 +287,15 @@ def fourier_bound_from_overlap(f: PeriodicGridFunction, k_range=None) -> BoundRe
     spectrum = FourierSpectrum(ks, weights, tail_mass_bound=max(0.0, 1.0 - total))
     # uniform prior: -log2 L + H(phi) = 0, the bound is the spectrum entropy
     prior_entropy = float(np.log2(f.period))
+    flags = ()
+    if spectrum.tail_mass_bound > 1e-9:
+        flags = ("truncated_spectrum",)
     return BoundReport(
         method="fourier",
         bound_bits=spectrum.entropy_bits(),
         prior_entropy_bits=prior_entropy,
         tail_mass_bound=spectrum.tail_mass_bound,
+        flags=flags,
         spectrum=spectrum,
     )
 

@@ -84,7 +84,8 @@ def overlap_function(model: NoisyQpeModel, n_grid=None) -> PeriodicGridFunction:
 
     f(0) = 1 exactly and |f| <= 1 everywhere; the modes live on
     k = 0..2^M - 1. The default grid resolves them with a factor-4
-    margin (at least 64 points).
+    margin (at least 64 points). Bounds use chi_closed_form; this grid
+    form is the FFT oracle it is checked against.
     """
     if n_grid is None:
         n_grid = max(4 * (model.n_calls + 1), 64)

@@ -17,6 +17,7 @@ seed, version) and are byte-identical across reruns with the same seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    BoundReport,
     EstimationModel,
     PriorDensity,
     fisher_bound,
@@ -34,13 +36,13 @@ from .bounds import (
 from .channels import (
     CHANNEL_KINDS,
     NoisyQpeModel,
+    chi_closed_form,
     dephasing_qfi,
-    overlap_function,
 )
 from .checks import run_suite
 from .errors import ValidationError
 from .figures import FIGURES
-from .numerics import PeriodicGridFunction
+from .numerics import PeriodicGridFunction, _check_alias_window
 from .protocols import (
     EntangledState,
     fourier_bound_ceiling,
@@ -191,8 +193,14 @@ def cmd_bound(args, command):
             raise ValidationError("--channel needs --M and --eta")
         model = NoisyQpeModel(args.channel, args.M, args.eta)
         if args.method == "fourier":
-            report = fourier_bound_from_overlap(
-                overlap_function(model, args.grid)
+            # the spectrum is a product of per-qubit binaries on k = 0..2^M - 1,
+            # so its entropy is a sum of binary entropies; no grid is needed,
+            # and an explicit one must still resolve those modes
+            if args.grid is not None:
+                _check_alias_window(args.grid, 0, model.n_calls)
+            report = BoundReport(
+                method="fourier", bound_bits=chi_closed_form(model),
+                prior_entropy_bits=0.0, tail_mass_bound=0.0,
             )
         else:
             if args.channel != "dephasing":
@@ -418,7 +426,10 @@ def cmd_two_seed(args, command):
     return 0
 
 
+@functools.cache
 def build_parser():
+    # built once per process: parse_args leaves the parser unchanged and
+    # returns a fresh namespace on every call
     parser = argparse.ArgumentParser(
         prog="mibounds",
         description="Information bounds for phase-estimation strategies.",
@@ -501,6 +512,8 @@ def main(argv=None) -> int:
     try:
         _merge_config(args, args.keys)
         _apply_defaults(args, args.keys)
+        if args.seed is not None and args.seed < 0:
+            raise ValidationError("--seed must be nonnegative")
         return args.func(args, command)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -118,6 +118,8 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
     c = x / |x| (the objective is scale-free), from one uniform start
     plus seeded random restarts (each restart draws from its own RNG
     stream keyed by (seed, restart index)), and keeps the best minimum.
+    `restarts` counts every start, the uniform one included, and must be
+    at least 1.
 
     Returns (EntangledState, entropy_bits, mi_bits, trace) where
     mi_bits = -entropy_bits is the information extracted under the
@@ -126,6 +128,8 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
     n = int(n_calls) + 1
     if n < 1:
         raise ValidationError("n_calls must be nonnegative")
+    if int(restarts) < 1:
+        raise ValidationError("restarts must be at least 1")
     if n_grid is None:
         n_grid = max(default_grid(n_calls), 4096)
     n_grid = int(n_grid)
@@ -149,7 +153,7 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
         return float(val), g_x
 
     starts = [np.full(n, 1.0)]
-    for i in range(1, max(1, int(restarts))):
+    for i in range(1, int(restarts)):
         stream = np.random.default_rng([int(seed), i])
         starts.append(np.abs(stream.standard_normal(n)) + 1e-3)
 

@@ -30,6 +30,7 @@ from mibounds.channels import (
     CHANNEL_KINDS,
     NoisyQpeModel,
     chi_closed_form,
+    overlap_function,
     purified_state_family,
 )
 from mibounds.errors import (
@@ -165,8 +166,18 @@ def test_fourier_bound_of_binary_superposition():
     f = PeriodicGridFunction(1.0, 0.5 + 0.5 * np.exp(2j * np.pi * phis))
     rep = fourier_bound_from_overlap(f)
     assert abs(rep.bound_bits - 1.0) < 1e-10
+    assert rep.flags == ()
     d = rep.spectrum.as_dict()
     assert abs(d[0] - 0.5) < 1e-12 and abs(d[1] - 0.5) < 1e-12
+
+
+def test_overlap_route_flags_truncated_spectrum():
+    """On 8 points the window |k| <= 1 keeps half of the modes 0..3."""
+    f = overlap_function(NoisyQpeModel("dephasing", 2, 1.0), 8)
+    rep = fourier_bound_from_overlap(f)
+    assert abs(rep.tail_mass_bound - 0.5) < 1e-12
+    assert abs(rep.bound_bits - 1.0) < 1e-12  # the true value is 2 bits
+    assert rep.flags == ("truncated_spectrum",)
 
 
 def test_states_route_matches_overlap_route():

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, file formats."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,8 +12,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import mibounds
+from mibounds import cli
+from mibounds.channels import (
+    CHANNEL_KINDS,
+    MAX_QUBITS,
+    NoisyQpeModel,
+    chi_closed_form,
+    chi_numeric,
+)
 from mibounds.cli import main
 
 REPORT_KEYS = {
@@ -31,6 +43,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(*argv):
+    """cli.main in process without pytest fixtures, for hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def src_env():
+    src = str(Path(mibounds.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def write_cosine_model(path, n_grid=512):
@@ -99,6 +125,129 @@ def test_bound_rejects_bad_channel_parameters(capsys):
         capsys, "bound", "--channel", "dephasing", "--M", "2", "--eta", "1.5"
     )
     assert code == 2
+
+
+@hst.composite
+def channel_bound_inputs(draw):
+    m = draw(hst.integers(1, MAX_QUBITS))
+    grid = draw(hst.one_of(hst.none(), hst.integers(1, 2 ** (m + 2))))
+    return (draw(hst.sampled_from(CHANNEL_KINDS)), m,
+            draw(hst.floats(0.0, 1.0)), grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=channel_bound_inputs())
+def test_bound_channel_fourier_is_the_closed_form(inputs):
+    """Every M up to MAX_QUBITS gets sum_j h(x_j); a grid that cannot
+    resolve k = 0..2^M - 1 exits 2 instead of returning a low bound."""
+    kind, m, eta, grid = inputs
+    argv = ["bound", "--channel", kind, "--M", str(m), "--eta", repr(eta)]
+    if grid is not None:
+        argv += ["--grid", str(grid)]
+    code, out, err = run_quiet(*argv)
+    if grid is not None and grid < 2 ** (m + 1):
+        assert code == 2 and "cannot resolve" in err and out == ""
+        return
+    assert code == 0, err
+    report = json.loads(out)
+    want = chi_closed_form(NoisyQpeModel(kind, m, eta))
+    assert abs(report["bound_bits"] - want) <= 1e-12
+    assert report["tail_mass_bound"] == 0.0 and report["flags"] == []
+    if m <= 10:
+        assert abs(want - chi_numeric(NoisyQpeModel(kind, m, eta))) <= 1e-10
+
+
+@pytest.mark.parametrize("m,grid", [(10, 6), (2, 4)])
+def test_bound_channel_rejects_aliasing_grid(capsys, m, grid):
+    """These grids used to alias the spectrum into a low bound with exit 0
+    (1.29 of 10 bits, 0.5 of 2 bits)."""
+    code, out, err = run_cli(
+        capsys, "bound", "--channel", "dephasing", "--M", str(m), "--eta", "1",
+        "--grid", str(grid),
+    )
+    assert code == 2 and "cannot resolve" in err
+    assert out == ""
+
+
+def test_bound_channel_grid_at_window_gives_full_bound(capsys):
+    """A grid of 2^(M+1) resolves every mode; it used to return 1 of 2 bits."""
+    code, out, _ = run_cli(
+        capsys, "bound", "--channel", "dephasing", "--M", "2", "--eta", "1",
+        "--grid", "8",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert abs(report["bound_bits"] - 2.0) < 1e-12
+    assert report["flags"] == [] and report["tail_mass_bound"] == 0.0
+
+
+def test_bound_channel_thirty_qubits_in_bounded_memory():
+    """M = MAX_QUBITS needs no 4 * 2^30-point grid: it runs under a 1 GiB
+    address-space limit (the FFT route asked for 32 GiB)."""
+    script = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from mibounds import cli
+        sys.exit(cli.main(["bound", "--channel", "erasure", "--M", "30",
+                           "--eta", "0.9"]))
+    """)
+    env = dict(src_env(), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    want = chi_closed_form(NoisyQpeModel("erasure", 30, 0.9))
+    assert abs(report["bound_bits"] - want) <= 1e-12
+    assert report["flags"] == [] and report["tail_mass_bound"] == 0.0
+
+
+def test_parser_is_built_once_and_leaks_no_state(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run_cli(
+        capsys, "bound", "--channel", "dephasing", "--M", "12", "--eta", "1",
+        "--grid", "8192", "--seed", "5",
+    )
+    assert code == 0 and json.loads(out)["seed"] == 5
+    # a leaked --grid 8192 would be too coarse for M = 13 and exit 2
+    code, out, err = run_cli(
+        capsys, "bound", "--channel", "dephasing", "--M", "13", "--eta", "1"
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["seed"] is None
+    assert abs(report["bound_bits"] - 13.0) < 1e-12
+    code, _, _ = run_cli(
+        capsys, "figure", "chi_qpe", "--M-max", "1", "--n-eta", "2",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    lines = (tmp_path / "chi_qpe.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "# seed: none" and len(lines) == 4 + 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--N", "3"],
+    ["two-seed", "--trials", "2"],
+    ["figure", "entropy2", "--N", "3"],
+    ["check", "protocols", "--trials", "2"],
+])
+def test_negative_seed_exits_two(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # figure writes to the working directory
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2 and "--seed" in err
+    assert out == "" and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--N", "3", "--restarts", "0"],
+    ["optimize", "--N", "3", "--restarts", "-2"],
+    ["figure", "entropy2", "--N", "3", "--restarts", "-1"],
+])
+def test_nonpositive_restarts_exit_two(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # figure writes to the working directory
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and "restarts" in err
+    assert out == "" and not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("grid", ["0", "-4"])
@@ -399,10 +548,7 @@ def test_bound_and_check_channels_do_not_import_scipy():
         print(codes, sorted(m for m in sys.modules
                             if m == "scipy" or m.startswith("scipy.")))
     """)
-    src = str(Path(mibounds.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0] []"
