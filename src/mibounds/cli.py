@@ -41,7 +41,7 @@ from .channels import (
 )
 from .checks import run_suite
 from .errors import ValidationError
-from .figures import FIGURES
+from .figures import FIGURES, entropy2_datasets
 from .numerics import PeriodicGridFunction, _check_alias_window
 from .protocols import (
     EntangledState,
@@ -283,14 +283,18 @@ def cmd_figure(args, command):
             if flag in ("n_eta", "n_sigma") and val < 1:
                 raise ValidationError(f"--{flag.replace('_', '-')} must be at least 1")
             kwargs[kw] = val
-    datasets = FIGURES[args.name](**kwargs)
-    out_dir = Path(args.out_dir)
+    _write_datasets(FIGURES[args.name](**kwargs), Path(args.out_dir),
+                    command, args.seed, args.svg)
+    return 0
+
+
+def _write_datasets(datasets, out_dir, command, seed, svg):
     out_dir.mkdir(parents=True, exist_ok=True)
     for data in datasets:
         csv_path = out_dir / f"{data.name}.csv"
-        _write_csv(csv_path, command, args.seed, data.columns, data.rows)
+        _write_csv(csv_path, command, seed, data.columns, data.rows)
         print(csv_path)
-        if args.svg:
+        if svg:
             svg_path = out_dir / f"{data.name}.svg"
             svg_path.write_text(
                 render_line_plot(
@@ -300,7 +304,6 @@ def cmd_figure(args, command):
                 encoding="utf-8", newline="\n",
             )
             print(svg_path)
-    return 0
 
 
 CHECK_KEYS = {
@@ -342,13 +345,15 @@ def cmd_optimize(args, command):
     state, entropy_bits, mi_bits, trace = optimize_en_state(
         args.N, restarts=args.restarts, seed=args.seed, n_grid=args.grid
     )
+    # built before anything is written: an odd --grid cannot be plotted
+    datasets = entropy2_datasets(state, args.grid) if args.emit_csv else ()
     payload = {
         "n_calls": args.N,
         "entropy_bits": entropy_bits,
         "mi_bits": mi_bits,
         "ceiling_bits": fourier_bound_ceiling(state),
         "uniform_entropy_bits": posterior_entropy(
-            EntangledState.uniform(args.N)
+            EntangledState.uniform(args.N), args.grid
         ),
         "trace": list(trace),
         "coefficients": [float(c) for c in state.coefficients],
@@ -359,13 +364,7 @@ def cmd_optimize(args, command):
     else:
         print(text)
     if args.emit_csv:
-        fig_args = argparse.Namespace(
-            name="entropy2", N=args.N, restarts=args.restarts, seed=args.seed,
-            grid=args.grid, out_dir=args.emit_csv, svg=False,
-            kind=None, M_max=None, eta_min=None, eta_max=None, n_eta=None,
-            sigma_min=None, sigma_max=None, n_sigma=None,
-        )
-        cmd_figure(fig_args, command)
+        _write_datasets(datasets, Path(args.emit_csv), command, args.seed, svg=False)
     return 0
 
 

@@ -109,10 +109,15 @@ def figure_b_sigma(sigma_min=1e-2, sigma_max=1e2, n_sigma=200):
 
 def figure_entropy2(n_calls=255, restarts=8, seed=7, n_grid=None):
     """Posterior densities and weight profiles, uniform vs. optimized state."""
-    n_calls = int(n_calls)
-    uniform = EntangledState.uniform(n_calls)
-    optimal = optimize_en_state(n_calls, restarts=int(restarts),
+    optimal = optimize_en_state(int(n_calls), restarts=int(restarts),
                                 seed=int(seed))[0]
+    return entropy2_datasets(optimal, n_grid)
+
+
+def entropy2_datasets(optimal: EntangledState, n_grid=None):
+    """entropy2's datasets for a given state, on n_grid points (16*(N+1))."""
+    n_calls = optimal.n_calls
+    uniform = EntangledState.uniform(n_calls)
     post_u = covariant_posterior(uniform, n_grid)
     post_o = covariant_posterior(optimal, n_grid)
     thetas = post_u.grid

@@ -7,7 +7,8 @@ p(theta) = |sum_k c_k e^(i 2 pi k theta)|^2, and the information it
 extracts is exactly minus the differential entropy of p. Optimizing the
 real coefficients c over the unit sphere therefore minimizes the
 posterior entropy; the spectrum entropy -sum c_k^2 log2 c_k^2 caps the
-achievable information at log2(N+1).
+achievable information at log2(N+1). Real c make p even, so the entropy
+and its gradient run real-input FFTs over half the grid.
 
 The two-seed experiment compares a single covariant seed against a pair
 of seeds measured jointly or sorted into sub-ensembles, reporting the
@@ -27,7 +28,6 @@ from .numerics import (
     LN2,
     PeriodicGridFunction,
     coefficients_to_density,
-    differential_entropy,
     entropy_bits_of_weights,
 )
 
@@ -70,15 +70,23 @@ def covariant_posterior(state: EntangledState, n_grid=None) -> PeriodicGridFunct
     return coefficients_to_density(state.coefficients, n_grid)
 
 
-def _entropy_bits(c, n_grid):
-    """Posterior entropy of amplitude vector c, bits, via padded FFT."""
-    padded = np.zeros(n_grid, dtype=complex)
-    padded[: c.size] = c
-    amp = np.fft.ifft(padded) * n_grid
-    p = np.abs(amp) ** 2
-    mass = p.sum() / n_grid
-    plog = p * np.log(np.maximum(p, 1e-300))
-    return -plog.sum() / (n_grid * LN2 * mass)
+def _entropy_and_grad(c, n_grid, grad=False):
+    """-sum p log2 p / G over the G-point posterior of unit-norm real c,
+    and with grad=True its gradient in c. Real c make p even, so rfft(c)_j
+    = conj(amp_j), j = 0..G//2, holds every distinct sample once; all but
+    j = 0 and, for even G, j = G/2 stand for two."""
+    half = np.fft.rfft(c, n_grid)
+    p = half.real**2 + half.imag**2
+    logp = np.log(np.maximum(p, 1e-300))
+    plogp = 2.0 * (p @ logp) - p[0] * logp[0]
+    if n_grid % 2 == 0:
+        plogp -= p[-1] * logp[-1]
+    val = -plogp / (n_grid * LN2)
+    if not grad:
+        return float(val)
+    # dp_j/dc_k = 2 Re(conj(amp_j) e^{i 2 pi jk/G}): summed over j, one irfft
+    g_c = -(2.0 / LN2) * np.fft.irfft((1.0 + logp) * half, n_grid)[: c.size]
+    return float(val), g_c
 
 
 def posterior_entropy(state: EntangledState, n_grid=None) -> float:
@@ -87,13 +95,14 @@ def posterior_entropy(state: EntangledState, n_grid=None) -> float:
     Negative for concentrated posteriors; under the uniform prior the
     extracted information is exactly minus this value. The quadrature
     grid defaults to at least 4096 points because the integrand p log p
-    has kinks at the zeros of p.
+    has kinks at the zeros of p. It is the optimizer's own half-spectrum
+    objective: optimize_en_state(N, n_grid=G)[1] is this value on that G.
     """
     if n_grid is None:
         n_grid = max(default_grid(state.n_calls), 4096)
     if n_grid < 2 * (state.n_calls + 1):
         raise GridTooCoarseError("entropy grid must be at least 2*(N+1)")
-    return float(_entropy_bits(state.coefficients.astype(complex), int(n_grid)))
+    return _entropy_and_grad(state.coefficients, int(n_grid))
 
 
 def fourier_bound_ceiling(state: EntangledState) -> float:
@@ -139,18 +148,8 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
     def value_and_grad(x):
         r = np.linalg.norm(x)
         c = x / r
-        padded = np.zeros(n_grid, dtype=complex)
-        padded[:n] = c
-        amp = np.fft.ifft(padded) * n_grid
-        p = np.abs(amp) ** 2
-        logp = np.log(np.maximum(p, 1e-300))
-        val = -(p * logp).sum() / (n_grid * LN2)
-        # d p_j / d c_k = 2 Re(conj(amp_j) e^{i 2 pi j k / G});
-        # resumming over j is one more inverse FFT
-        w = (1.0 + logp) * np.conj(amp)
-        g_c = -(2.0 / LN2) * np.real(np.fft.ifft(w)[:n])
-        g_x = (g_c - float(g_c @ c) * c) / r  # project out the scale direction
-        return float(val), g_x
+        val, g_c = _entropy_and_grad(c, n_grid, grad=True)
+        return val, (g_c - float(g_c @ c) * c) / r  # without the scale direction
 
     starts = [np.full(n, 1.0)]
     for i in range(1, int(restarts)):
@@ -165,16 +164,13 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
                      "maxiter": 5000},
         )
         c = res.x / np.linalg.norm(res.x)
-        val = float(value_and_grad(c)[0])
+        val = _entropy_and_grad(c, n_grid)
         trace.append(val)
         if val < best_val:
             best_val, best_c = val, c
     if best_c.sum() < 0.0:
         best_c = -best_c  # global sign is immaterial, report the positive rep
-    # renormalize exactly against accumulated roundoff
-    best_c = best_c / np.linalg.norm(best_c)
-    return (EntangledState(best_c), float(best_val), float(-best_val),
-            tuple(trace))
+    return EntangledState(best_c), best_val, -best_val, tuple(trace)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import mibounds
-from mibounds import cli
+from mibounds import cli, protocols
 from mibounds.channels import (
     CHANNEL_KINDS,
     MAX_QUBITS,
@@ -25,6 +25,7 @@ from mibounds.channels import (
     chi_numeric,
 )
 from mibounds.cli import main
+from mibounds.protocols import EntangledState, posterior_entropy
 
 REPORT_KEYS = {
     "method",
@@ -442,14 +443,54 @@ def test_optimize_json(capsys):
     assert abs(sum(c * c for c in report["coefficients"]) - 1.0) < 1e-9
 
 
-def test_optimize_emit_csv(capsys, tmp_path):
-    code, out, _ = run_cli(
-        capsys, "optimize", "--N", "3", "--restarts", "2",
-        "--emit-csv", str(tmp_path),
+def test_optimize_emit_csv(capsys, tmp_path, monkeypatch):
+    """--emit-csv plots the state it reports and optimizes only once."""
+    calls = []
+    original = protocols.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "minimize", counting)
+    report_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "optimize", "--N", "3", "--grid", "8", "--restarts", "2",
+        "--out", str(report_path), "--emit-csv", str(tmp_path),
     )
     assert code == 0
-    assert (tmp_path / "entropy2.csv").exists()
-    assert (tmp_path / "entropy2_weights.csv").exists()
+    assert len(calls) == 2
+    report = json.loads(report_path.read_text())
+    weights = cli._read_table(tmp_path / "entropy2_weights.csv")[1][:, 2]
+    want = np.array(report["coefficients"]) ** 2
+    assert np.max(np.abs(weights - want)) <= 1e-15
+    assert cli._read_table(tmp_path / "entropy2.csv")[1].shape == (8, 3)
+
+
+def test_optimize_odd_grid_with_emit_csv_writes_nothing(capsys, tmp_path):
+    """The posterior plot needs an even grid; it is checked before any write."""
+    report_path = tmp_path / "report.json"
+    csv_dir = tmp_path / "csv"
+    code, _, err = run_cli(
+        capsys, "optimize", "--N", "3", "--grid", "9", "--restarts", "1",
+        "--out", str(report_path), "--emit-csv", str(csv_dir),
+    )
+    assert code == 2 and "even" in err
+    assert not report_path.exists() and not csv_dir.exists()
+
+
+@pytest.mark.parametrize("grid", [None, 9, 64])
+def test_optimize_uniform_entropy_uses_the_grid(capsys, grid):
+    argv = ["optimize", "--N", "3", "--restarts", "1"]
+    if grid is not None:
+        argv += ["--grid", str(grid)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    uniform = EntangledState.uniform(3)
+    assert report["uniform_entropy_bits"] == posterior_entropy(uniform, grid)
+    state = EntangledState(np.array(report["coefficients"]))
+    assert report["entropy_bits"] == posterior_entropy(state, grid)
 
 
 def test_optimize_requires_n(capsys):

@@ -125,6 +125,83 @@ def test_optimizer_calls_module_minimize_once_per_start(monkeypatch):
     assert calls == ["L-BFGS-B", "L-BFGS-B"]
 
 
+def _full_spectrum_oracle(c, n_grid):
+    """Oracle: entropy in bits and its gradient in c by complex FFTs over
+    the whole grid, the form the optimizer used before the half spectrum."""
+    padded = np.zeros(n_grid, dtype=complex)
+    padded[: c.size] = c
+    amp = np.fft.ifft(padded) * n_grid
+    p = np.abs(amp) ** 2
+    logp = np.log(np.maximum(p, 1e-300))
+    val = -(p * logp).sum() / (n_grid * np.log(2.0))
+    w = (1.0 + logp) * np.conj(amp)
+    g_c = -(2.0 / np.log(2.0)) * np.real(np.fft.ifft(w)[: c.size])
+    return float(val), g_c
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=hst.integers(1, 300), flat=hst.booleans(),
+       seed=hst.integers(0, 2**32 - 1), grid_frac=hst.floats(0.0, 1.0))
+def test_half_spectrum_matches_full_spectrum_oracle(n, flat, seed, grid_frac):
+    """Even and odd grids in [2n, 8n+8]; flat states put exact zeros in p."""
+    n_grid = 2 * n + int(round(grid_frac * (6 * n + 8)))
+    if flat:
+        c = np.full(n, 1.0 / np.sqrt(n))
+    else:
+        c = np.random.default_rng(seed).standard_normal(n)
+        c /= np.linalg.norm(c)
+    val, g_c = protocols._entropy_and_grad(c, n_grid, grad=True)
+    want_val, want_g = _full_spectrum_oracle(c, n_grid)
+    assert abs(val - want_val) < 1e-12
+    assert val == protocols._entropy_and_grad(c, n_grid)
+    assert np.linalg.norm(g_c - want_g) <= 1e-12 * np.linalg.norm(want_g)
+
+
+def test_projected_gradient_matches_finite_differences():
+    """Central differences of H(x / |x|), the optimizer's objective."""
+    rng = np.random.default_rng(17)
+
+    def objective(x):
+        return protocols._entropy_and_grad(x / np.linalg.norm(x), n_grid)
+
+    for n, n_grid in ((2, 6), (5, 17), (12, 64), (40, 333)):
+        x = rng.standard_normal(n) + 0.5
+        r = np.linalg.norm(x)
+        c = x / r
+        _, g_c = protocols._entropy_and_grad(c, n_grid, grad=True)
+        g_x = (g_c - (g_c @ c) * c) / r
+        for _ in range(3):
+            d = rng.standard_normal(n)
+            h = 1e-6
+            fd = (objective(x + h * d) - objective(x - h * d)) / (2.0 * h)
+            assert abs(fd - g_x @ d) < 1e-6 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("n_calls, n_grid", [(3, 9), (5, 16), (7, None)])
+def test_optimizer_entropy_is_posterior_entropy(n_calls, n_grid):
+    """Optimizer and posterior_entropy evaluate one shared objective."""
+    state, entropy, _, trace = optimize_en_state(n_calls, restarts=2,
+                                                 n_grid=n_grid)
+    assert entropy == posterior_entropy(state, n_grid) == min(trace)
+
+
+def test_optimizer_and_posterior_entropy_run_no_complex_fft(monkeypatch):
+    """Real amplitudes need only the real-input transforms."""
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    state = optimize_en_state(31, restarts=2)[0]
+    posterior_entropy(state)
+    posterior_entropy(EntangledState.uniform(31), 65)
+    assert calls == []
+
+
 def test_optimizer_deterministic_per_seed():
     a = optimize_en_state(4, restarts=3, seed=11)
     b = optimize_en_state(4, restarts=3, seed=11)
