@@ -135,40 +135,39 @@ def dephasing_qfi(n_qubits: int, eta: float) -> float:
     return float((2.0 * np.pi) ** 2 * (4.0**j * eta ** (2.0**j)).sum())
 
 
+# (a^2, b^2, c^2) of qubit j's purification factor at y = eta^(2^j);
+# each triple sums to 1, and b^2 is the x_j of mode_weight_args
+_FACTOR_WEIGHTS = {
+    "dephasing": lambda y: (0.5, 0.5 * y * y, 0.5 * (1.0 - y * y)),
+    "amplitude-damping": lambda y: (
+        1.0 - 0.5 * y, y / (4.0 - 2.0 * y), y * (1.0 - y) / (4.0 - 2.0 * y)
+    ),
+    "erasure": lambda y: (0.5 * y, 0.5 * y, 1.0 - y),
+}
+
+
 def _factor_states(model: NoisyQpeModel, j: int, phis):
-    """Purification factor of qubit j at each phi: array (len(phis), dim)."""
-    eta = model.eta
-    two_j = 2.0**j
-    phase = np.exp(1j * 2.0 * np.pi * (2**j) * phis)
-    if model.kind == "dephasing":
-        # (|00> + (eta e^{i 2 pi phi})^{2^j} |10> + sqrt(1-eta^{2^{j+1}})|11>)/sqrt(2)
-        out = np.zeros((phis.size, 4), dtype=complex)
-        out[:, 0] = 1.0
-        out[:, 2] = (eta**two_j) * phase
-        out[:, 3] = np.sqrt(max(0.0, 1.0 - eta ** (2.0 * two_j)))
-        return out / np.sqrt(2.0)
-    if model.kind == "amplitude-damping":
-        y = eta**two_j
-        out = np.zeros((phis.size, 4), dtype=complex)
-        out[:, 0] = np.sqrt(2.0 - y)
-        out[:, 2] = np.sqrt(y) * phase / np.sqrt(2.0 - y)
-        out[:, 1] = np.sqrt(y * (1.0 - y) / (2.0 - y))
-        return out / np.sqrt(2.0)
-    # erasure: system {|0>,|1>,|2>} times environment {|0>,|1>}
-    y = eta**two_j
-    out = np.zeros((phis.size, 6), dtype=complex)
-    out[:, 0] = np.sqrt(y) / np.sqrt(2.0)
-    out[:, 2] = np.sqrt(y) * phase / np.sqrt(2.0)
-    out[:, 5] = np.sqrt(max(0.0, 1.0 - y))
+    """Qubit j's factor a|u> + b e^(i 2 pi 2^j phi)|v> + c|w>: (len(phis), 3).
+
+    The full purification lives in 4 (erasure: 6) dimensions, but only the
+    fixed orthonormal u, v, w ever carry amplitude; the other coordinates
+    are zero for every phi, so dropping them changes no <psi_phi|psi_phi'>.
+    """
+    a, b, c = np.sqrt(_FACTOR_WEIGHTS[model.kind](model.eta ** (2.0**j)))
+    out = np.empty((phis.size, 3), dtype=complex)
+    out[:, 0] = a
+    out[:, 1] = b * np.exp(1j * 2.0 * np.pi * (2**j) * phis)
+    out[:, 2] = c
     return out
 
 
 def purified_state_family(model: NoisyQpeModel, phis):
     """Explicit tensor-product purified states |psi_phi>, one row per phi.
 
-    The full Kronecker product grows as dim^M, so this construction is
-    kept to M <= 6 and modest grids; it exists to cross-check the product
-    overlap against honest state vectors.
+    Each qubit keeps only its 3-dimensional span (_factor_states), so the
+    array is (len(phis), 3^M); the dropped coordinates are zero for every
+    phi and change no overlap, norm or spectrum. Kept to M <= 6; it exists
+    to cross-check the product overlap against honest state vectors.
     """
     if model.n_qubits > 6:
         raise ValidationError("purified family construction kept to n_qubits <= 6")

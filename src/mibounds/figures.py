@@ -108,9 +108,10 @@ def figure_b_sigma(sigma_min=1e-2, sigma_max=1e2, n_sigma=200):
 
 
 def figure_entropy2(n_calls=255, restarts=8, seed=7, n_grid=None):
-    """Posterior densities and weight profiles, uniform vs. optimized state."""
+    """Posterior densities and weight profiles, uniform vs. optimized state;
+    n_grid (None: each default) is the optimizer's grid and the plot's."""
     optimal = optimize_en_state(int(n_calls), restarts=int(restarts),
-                                seed=int(seed))[0]
+                                seed=int(seed), n_grid=n_grid)[0]
     return entropy2_datasets(optimal, n_grid)
 
 

@@ -1,8 +1,17 @@
 """Noisy phase-estimation channel models and their spectra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from mibounds.bounds import (
+    PriorDensity,
+    StateFamily,
+    fourier_bound_from_states,
+)
 from mibounds.channels import (
     CHANNEL_KINDS,
     NoisyQpeModel,
@@ -134,14 +143,95 @@ def test_dephasing_qfi_validation():
 def test_purified_states_reproduce_overlap():
     """<psi_0 | psi_phi> of the purified family equals the scalar overlap."""
     for kind in CHANNEL_KINDS:
-        for m in (1, 2, 3):
-            model = NoisyQpeModel(kind, m, 0.7)
-            f = overlap_function(model, 64)
-            states = purified_state_family(model, f.grid)
-            got = states @ states[0].conj()
-            assert np.max(np.abs(got - f.values)) < 1e-12
-            norms = np.linalg.norm(states, axis=1)
-            assert np.max(np.abs(norms - 1.0)) < 1e-12
+        for m in range(1, 7):
+            for eta in (0.0, 0.7, 1.0):
+                model = NoisyQpeModel(kind, m, eta)
+                f = overlap_function(model, 64)
+                states = purified_state_family(model, f.grid)
+                got = states @ states[0].conj()
+                assert np.max(np.abs(got - f.values)) < 1e-12
+                norms = np.linalg.norm(states, axis=1)
+                assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+
+# Full purification of one qubit factor: its dimension and the indices of
+# the three coordinates a, b e^(i 2 pi 2^j phi), c that carry amplitude
+# (dephasing and amplitude damping: system x environment qubit; erasure:
+# system qutrit x environment qubit).
+_WIDE_LAYOUT = {
+    "dephasing": (4, (0, 2, 3)),
+    "amplitude-damping": (4, (0, 2, 1)),
+    "erasure": (6, (0, 2, 5)),
+}
+
+
+def _wide_amplitudes(kind, y):
+    """(a, b, c) of each channel written out as amplitudes, y = eta^(2^j)."""
+    if kind == "dephasing":
+        return np.array([1.0, y, np.sqrt(1.0 - y * y)]) / np.sqrt(2.0)
+    if kind == "amplitude-damping":
+        return np.array([np.sqrt(2.0 - y), np.sqrt(y) / np.sqrt(2.0 - y),
+                         np.sqrt(y * (1.0 - y) / (2.0 - y))]) / np.sqrt(2.0)
+    return np.array([np.sqrt(y / 2.0), np.sqrt(y / 2.0), np.sqrt(1.0 - y)])
+
+
+def _wide_family(model, phis):
+    """Oracle: the purified family in its full dim^M layout, zeros included."""
+    dim, idx = _WIDE_LAYOUT[model.kind]
+    states = np.ones((phis.size, 1), dtype=complex)
+    for j in range(model.n_qubits):
+        a, b, c = _wide_amplitudes(model.kind, model.eta ** (2.0**j))
+        factor = np.zeros((phis.size, dim), dtype=complex)
+        factor[:, idx[0]] = a
+        factor[:, idx[1]] = b * np.exp(2j * np.pi * (2**j) * phis)
+        factor[:, idx[2]] = c
+        states = (states[:, :, None] * factor[:, None, :]).reshape(phis.size, -1)
+    return states
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=hst.sampled_from(CHANNEL_KINDS),
+    n_qubits=hst.integers(1, 4),
+    eta=hst.one_of(hst.sampled_from([0.0, 1.0]), hst.floats(0.0, 1.0)),
+    extra=hst.integers(0, 20),
+)
+def test_compact_family_matches_wide_oracle(kind, n_qubits, eta, extra):
+    """Same Gram matrix and same bound as the zero-padded full purification."""
+    model = NoisyQpeModel(kind, n_qubits, eta)
+    k_side = model.n_calls + 2
+    prior = PriorDensity.uniform(1.0, 4 * k_side + 2 + 2 * extra)
+    compact = purified_state_family(model, prior.grid)
+    wide = _wide_family(model, prior.grid)
+    assert compact.shape == (prior.n_grid, 3**n_qubits)
+    assert wide.shape == (prior.n_grid, _WIDE_LAYOUT[kind][0] ** n_qubits)
+    gram = compact @ compact.conj().T
+    assert np.max(np.abs(gram - wide @ wide.conj().T)) < 1e-12
+    bits = [
+        fourier_bound_from_states(StateFamily(1.0, s), prior, (-k_side, k_side))
+        .bound_bits for s in (compact, wide)
+    ]
+    assert abs(bits[0] - bits[1]) < 1e-12
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_six_qubit_states_route_is_small(kind):
+    """M = 6 on 512 points: a 3^6-wide family, states op under 16 MiB."""
+    model = NoisyQpeModel(kind, 6, 0.9)
+    prior = PriorDensity.uniform(1.0, 512)
+    k_side = model.n_calls + 2
+    tracemalloc.start()
+    try:
+        states = purified_state_family(model, prior.grid)
+        rep = fourier_bound_from_states(
+            StateFamily(1.0, states), prior, (-k_side, k_side)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (512, 729)
+    assert peak < 16 * 2**20
+    assert abs(rep.bound_bits - chi_closed_form(model)) < 1e-8
 
 
 def test_purified_state_family_cap():

@@ -467,6 +467,35 @@ def test_optimize_emit_csv(capsys, tmp_path, monkeypatch):
     assert cli._read_table(tmp_path / "entropy2.csv")[1].shape == (8, 3)
 
 
+def test_figure_entropy2_grid_is_the_optimizer_grid(capsys, tmp_path):
+    """figure entropy2 --grid G optimizes on G, as optimize --grid G does."""
+    common = ("--N", "3", "--grid", "8", "--restarts", "2", "--seed", "0")
+    code, _, _ = run_cli(capsys, "figure", "entropy2", *common,
+                         "--out-dir", str(tmp_path / "figure"))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "optimize", *common,
+                         "--emit-csv", str(tmp_path / "optimize"))
+    assert code == 0
+    rows = [
+        [line for line in (tmp_path / d / "entropy2_weights.csv")
+         .read_text(encoding="utf-8").splitlines()
+         if not line.startswith("#")]
+        for d in ("figure", "optimize")
+    ]
+    assert rows[0] == rows[1] and len(rows[0]) == 1 + 4
+    assert abs(float(rows[0][1].split(",")[2]) - 0.1777706) < 1e-6
+
+
+def test_figure_entropy2_odd_grid_exits_two(capsys, tmp_path):
+    out_dir = tmp_path / "figure"
+    code, _, err = run_cli(
+        capsys, "figure", "entropy2", "--N", "3", "--grid", "9",
+        "--restarts", "1", "--out-dir", str(out_dir),
+    )
+    assert code == 2 and "even" in err
+    assert not out_dir.exists()
+
+
 def test_optimize_odd_grid_with_emit_csv_writes_nothing(capsys, tmp_path):
     """The posterior plot needs an even grid; it is checked before any write."""
     report_path = tmp_path / "report.json"
