@@ -42,7 +42,7 @@ from .channels import (
 from .checks import run_suite
 from .errors import ValidationError
 from .figures import FIGURES, entropy2_datasets
-from .numerics import PeriodicGridFunction, _check_alias_window
+from .numerics import PeriodicGridFunction, _check_alias_window, check_periodic_grid
 from .protocols import (
     EntangledState,
     fourier_bound_ceiling,
@@ -342,10 +342,11 @@ OPTIMIZE_KEYS = {
 def cmd_optimize(args, command):
     if args.N is None:
         raise ValidationError("--N is required")
+    if args.emit_csv and args.grid is not None:
+        check_periodic_grid(args.grid)  # the plot needs it: fail before optimizing
     state, entropy_bits, mi_bits, trace = optimize_en_state(
         args.N, restarts=args.restarts, seed=args.seed, n_grid=args.grid
     )
-    # built before anything is written: an odd --grid cannot be plotted
     datasets = entropy2_datasets(state, args.grid) if args.emit_csv else ()
     payload = {
         "n_calls": args.N,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .channels import NoisyQpeModel, chi_closed_form
 from .errors import ValidationError
-from .numerics import gaussian_entropy_vs_bound
+from .numerics import check_periodic_grid, gaussian_entropy_vs_bound
 from .protocols import EntangledState, covariant_posterior, optimize_en_state
 from .qpe_strategy import enhancement_term
 
@@ -110,6 +110,8 @@ def figure_b_sigma(sigma_min=1e-2, sigma_max=1e2, n_sigma=200):
 def figure_entropy2(n_calls=255, restarts=8, seed=7, n_grid=None):
     """Posterior densities and weight profiles, uniform vs. optimized state;
     n_grid (None: each default) is the optimizer's grid and the plot's."""
+    if n_grid is not None:
+        check_periodic_grid(n_grid)  # the plot needs it: fail before optimizing
     optimal = optimize_en_state(int(n_calls), restarts=int(restarts),
                                 seed=int(seed), n_grid=n_grid)[0]
     return entropy2_datasets(optimal, n_grid)

@@ -42,6 +42,13 @@ def entropy_bits_of_weights(w):
     return float(-(w * np.log(w)).sum() / LN2)
 
 
+def check_periodic_grid(n_grid):
+    """A periodic grid has an even number of points, at least 2: even G
+    keeps the Nyquist bookkeeping in the FFT paths unambiguous."""
+    if n_grid < 2 or n_grid % 2 != 0:
+        raise ValidationError("grid size must be even and at least 2")
+
+
 @dataclass(frozen=True)
 class PeriodicGridFunction:
     """Samples of a period-L function at phi_j = j*L/G, j = 0..G-1."""
@@ -55,9 +62,7 @@ class PeriodicGridFunction:
         vals = np.atleast_1d(np.asarray(self.values))
         if vals.ndim != 1:
             raise ValidationError("values must be a one-dimensional array")
-        # even G keeps the Nyquist bookkeeping in the FFT paths unambiguous
-        if vals.size < 2 or vals.size % 2 != 0:
-            raise ValidationError("grid size must be even and at least 2")
+        check_periodic_grid(vals.size)
         if not np.all(np.isfinite(vals)):
             raise ValidationError("values must be finite")
         object.__setattr__(self, "values", vals)

@@ -8,7 +8,9 @@ extracts is exactly minus the differential entropy of p. Optimizing the
 real coefficients c over the unit sphere therefore minimizes the
 posterior entropy; the spectrum entropy -sum c_k^2 log2 c_k^2 caps the
 achievable information at log2(N+1). Real c make p even, so the entropy
-and its gradient run real-input FFTs over half the grid.
+and its gradient run real-input FFTs over half the grid. The optimizer
+is the package's own numpy L-BFGS (minimize), so numpy is the only
+run-time dependency.
 
 The two-seed experiment compares a single covariant seed against a pair
 of seeds measured jointly or sorted into sub-ensembles, reporting the
@@ -20,6 +22,7 @@ trial costs three length-G FFTs and O(G) memory.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -110,20 +113,202 @@ def fourier_bound_ceiling(state: EntangledState) -> float:
     return entropy_bits_of_weights(state.coefficients**2)
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on first call: scipy serves only
-    the optimizer and costs more to import than the rest of the package.
-    optimize_en_state looks this name up at call time, so rebinding
-    protocols.minimize (to wrap or count the calls) takes effect."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+_HISTORY = 10         # (s, y) pairs kept: L-BFGS-B's default memory
+_LINE_EVALS = 20      # evaluations per line search before it fails
+_C1, _C2, _XTOL = 1e-3, 0.9, 0.1  # the dcsrch constants of L-BFGS-B
+_STPMAX = 1e10        # largest step, L-BFGS-B's unconstrained bound
+
+
+def minimize(fun, x0, *, ftol, gtol, maxiter):
+    """Unconstrained L-BFGS (Nocedal, Math. Comp. 35, 773 (1980)).
+
+    fun(x) returns (f, gradient). The search direction comes from the
+    two-loop recursion over the last 10 (s, y) pairs, scaled by
+    s.y / y.y of the newest; a pair with s.y <= eps * (-g.s) is skipped.
+    Steps come from a Moré–Thuente strong-Wolfe line search (MINPACK-2
+    dcsrch: c1 = 1e-3, c2 = 0.9, extrapolation by up to x4, safeguarded
+    cubic interpolation), starting at 1/|g| on the first iteration and
+    at 1 after it. A line search that fails clears the memory and retries
+    along -g; failing with an empty memory stops the run.
+
+    Stops, as scipy's L-BFGS-B does without bounds, when max|g| <= gtol,
+    when (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ftol, or, unconverged,
+    after maxiter iterations. Returns a namespace with x, fun (the value
+    at x), nit, nfev, success and message. optimize_en_state looks this
+    name up at call time, so rebinding protocols.minimize (to wrap or
+    count the calls) takes effect.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    nit, nfev, pairs = 0, 1, []
+    success, message = True, "max|g| <= gtol"
+    while np.max(np.abs(g)) > gtol:
+        if pairs:
+            d, step = -_two_loop(g, pairs), 1.0
+        else:
+            d = -g
+            step = min(1.0 / np.linalg.norm(g), _STPMAX) if nit == 0 else 1.0
+        x_new, f_new, g_new, evals = _line_search(fun, x, f, g, d, step)
+        nfev += evals
+        if x_new is None:
+            if pairs:
+                pairs = []
+                continue
+            success, message = False, "line search failed along -g"
+            break
+        nit += 1
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > np.finfo(float).eps * -float(g @ s):
+            pairs.append((s, y, 1.0 / sy, float(y @ y)))
+            del pairs[:-_HISTORY]
+        f_old, x, f, g = f, x_new, f_new, g_new
+        if nit >= maxiter:
+            success = False
+            message = f"stopped after maxiter = {maxiter} iterations"
+            break
+        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            message = "relative reduction of f <= ftol"
+            break
+    return SimpleNamespace(x=x, fun=f, nit=nit, nfev=nfev, success=success,
+                           message=message)
+
+
+def _two_loop(g, pairs):
+    """Inverse L-BFGS Hessian times g, with H0 = (s.y / y.y) I."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho, _ in reversed(pairs):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    _, _, rho, yy = pairs[-1]
+    q *= 1.0 / (rho * yy)
+    for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * float(y @ q)) * s
+    return q
+
+
+def _line_search(fun, x, f0, g0, d, stp):
+    """Moré–Thuente search along d from stp (MINPACK-2 dcsrch).
+
+    Returns (x, f, g, evaluations) at the first step meeting the strong
+    Wolfe conditions f <= f0 + c1 stp g0.d and |g.d| <= c2 |g0.d|, or at
+    the step where rounding or the bracket width stops progress; x is
+    None when d is not a descent direction or after 20 evaluations.
+    """
+    ginit = float(g0 @ d)
+    if not ginit < 0.0:
+        return None, f0, g0, 0
+    gtest = _C1 * ginit
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = ginit
+    brackt, stage1 = False, True
+    stmin, stmax = 0.0, stp + 4.0 * stp
+    width, width1 = _STPMAX, 2.0 * _STPMAX
+    for evals in range(1, _LINE_EVALS + 1):
+        xt = x + stp * d
+        f, g = fun(xt)
+        dg = float(g @ d)
+        ftest = f0 + stp * gtest
+        if stage1 and f <= ftest and dg >= 0.0:
+            stage1 = False
+        if (f <= ftest and abs(dg) <= -_C2 * ginit
+                or brackt and (stp <= stmin or stp >= stmax
+                               or stmax - stmin <= _XTOL * stmax)
+                or stp == _STPMAX and f <= ftest and dg <= gtest):
+            return xt, f, g, evals
+        if stage1 and fx >= f > ftest:
+            # first stage: step on psi(t) = f(t) - t*gtest, whose minimum
+            # is bracketed sooner while f sits above the decrease line
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest,
+                gy - gtest, stp, f - stp * gtest, dg - gtest, brackt,
+                stmin, stmax)
+            fx, fy = fx + stx * gtest, fy + sty * gtest
+            gx, gy = gx + gtest, gy + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, dg, brackt, stmin, stmax)
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)  # bisect a slow bracket
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), _STPMAX)
+        if brackt and (stp <= stmin or stp >= stmax
+                       or stmax - stmin <= _XTOL * stmax):
+            stp = stx  # no progress left: return to the best step
+    return None, f0, g0, _LINE_EVALS
+
+
+def _cubic_min(a, fa, da, b, fb, db):
+    """(r, gamma): the minimizer a + r (b - a) of the cubic through
+    (a, fa, fa') and (b, fb, fb'), with dcstep's overflow-safe scaling."""
+    theta = 3.0 * (fa - fb) / (b - a) + da + db
+    s = max(abs(theta), abs(da), abs(db))
+    gamma = s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
+    if b < a:
+        gamma = -gamma
+    return ((gamma - da) + theta) / (((gamma - da) + gamma) + db), gamma
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """One MINPACK-2 dcstep: the next trial step from the best step stx,
+    the other bracket end sty and the current step stp, and the updated
+    bracket. Returns (stx, fx, dx, sty, fy, dy, next step, brackt)."""
+    sgnd = dp * math.copysign(1.0, dx)
+    if fp > fx:  # higher value: a minimum lies between stx and stp
+        r, _ = _cubic_min(stx, fx, dx, stp, fp, dp)
+        stpc = stx + r * (stp - stx)
+        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
+        if abs(stpc - stx) < abs(stpq - stx):
+            stpf = stpc
+        else:
+            stpf = stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif sgnd < 0.0:  # lower value, slope changed sign: bracketed
+        r, _ = _cubic_min(stp, fp, dp, stx, fx, dx)
+        stpc = stp + r * (stx - stp)
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):  # lower value, same sign, slope shrinking
+        r, gamma = _cubic_min(stp, fp, dp, stx, fx, dx)
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = stpmax if stp > stx else stpmin
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            limit = stp + 0.66 * (sty - stp)
+            stpf = min(limit, stpf) if stp > stx else max(limit, stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = min(stpmax, max(stpmin, stpf))
+    elif brackt:  # lower value, same sign, slope not shrinking
+        r, _ = _cubic_min(stp, fp, dp, sty, fy, dy)
+        stpf = stp + r * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if sgnd < 0.0:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
 
 
 def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
                       entropy_tol=1e-10):
     """Minimize the posterior entropy over real unit-norm amplitudes.
 
-    Runs a quasi-Newton descent in the ambient coordinates x with
+    Runs minimize (L-BFGS) in the ambient coordinates x with
     c = x / |x| (the objective is scale-free), from one uniform start
     plus seeded random restarts (each restart draws from its own RNG
     stream keyed by (seed, restart index)), and keeps the best minimum.
@@ -158,13 +343,11 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
 
     best_c, best_val, trace = None, np.inf, []
     for x0 in starts:
-        res = minimize(
-            value_and_grad, x0, jac=True, method="L-BFGS-B",
-            options={"ftol": entropy_tol * 1e-2, "gtol": 1e-9,
-                     "maxiter": 5000},
-        )
+        res = minimize(value_and_grad, x0, ftol=entropy_tol * 1e-2,
+                       gtol=1e-9, maxiter=5000)
+        # res.fun was computed from this same c: it is the entropy of c
         c = res.x / np.linalg.norm(res.x)
-        val = _entropy_and_grad(c, n_grid)
+        val = res.fun
         trace.append(val)
         if val < best_val:
             best_val, best_c = val, c

@@ -508,6 +508,30 @@ def test_optimize_odd_grid_with_emit_csv_writes_nothing(capsys, tmp_path):
     assert not report_path.exists() and not csv_dir.exists()
 
 
+def test_odd_plot_grid_is_rejected_before_optimizing(capsys, tmp_path,
+                                                    monkeypatch):
+    """An odd --grid that must be plotted exits 2 without one optimizer
+    call; optimize without --emit-csv still runs on it."""
+    calls = []
+    original = protocols.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "minimize", counting)
+    for argv in (["figure", "entropy2", "--out-dir", str(tmp_path / "fig")],
+                 ["optimize", "--emit-csv", str(tmp_path / "csv"),
+                  "--out", str(tmp_path / "report.json")]):
+        code, _, err = run_cli(capsys, *argv, "--N", "3", "--grid", "9",
+                               "--restarts", "2")
+        assert code == 2 and "even" in err
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    code, _, _ = run_cli(capsys, "optimize", "--N", "3", "--grid", "9",
+                         "--restarts", "2")
+    assert code == 0 and len(calls) == 2
+
+
 @pytest.mark.parametrize("grid", [None, 9, 64])
 def test_optimize_uniform_entropy_uses_the_grid(capsys, grid):
     argv = ["optimize", "--N", "3", "--restarts", "1"]
@@ -622,3 +646,34 @@ def test_bound_and_check_channels_do_not_import_scipy():
                           text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0] []"
+
+
+def test_every_command_runs_with_scipy_blocked():
+    """scipy is only a test extra (the L-BFGS-B oracle): with its import
+    blocked, each command ends with its usual exit code."""
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys, tempfile
+        sys.modules["scipy"] = None  # every import of scipy now fails
+        from mibounds import cli
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \\
+                contextlib.redirect_stdout(out):
+            codes = [cli.main(argv) for argv in (
+                ["optimize", "--N", "7"],
+                ["figure", "entropy2", "--N", "7", "--svg", "--out-dir", tmp],
+                ["check", "protocols"],
+                ["check", "all"],
+                ["two-seed", "--trials", "3"],
+                ["bound", "--channel", "dephasing", "--M", "2", "--eta",
+                 "0.5"],
+            )]
+        failed = [line.split()[1] for line in out.getvalue().splitlines()
+                  if line.startswith("FAIL")]
+        print(json.dumps([codes, failed]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    codes, failed = json.loads(proc.stdout)
+    assert codes == [0, 0, 0, 1, 0, 0]
+    assert failed == ["numerics.entropy_vs_bound_scan"]  # criterion 03
