@@ -8,18 +8,24 @@ Subcommands
     optimize  minimize the covariant-posterior entropy over input states
     two-seed  run the seeded two-measurement comparison trials
 
-Exit codes: 0 success, 1 failed checks, 2 validation error, 3 numerical
-divergence. Parameters may come from an INI-style flat key=value config
-file; explicit flags win. CSV outputs carry `#` metadata lines (command,
-seed, version) and are byte-identical across reruns with the same seed.
+Exit codes: 0 success, 1 failed checks, 2 bad input (arguments, config
+values, unreadable or unwritable files), 3 numerical divergence. Every
+option is declared once, in COMMANDS, which yields argparse, config
+merging, minimums and figure keywords. Parameters may come from an
+INI-style flat key=value config file; explicit flags win. CSV outputs
+carry `#` metadata lines (command, seed, version) and are byte-identical
+across reruns with the same seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
+from collections import namedtuple
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,7 +45,7 @@ from .channels import (
     chi_closed_form,
     dephasing_qfi,
 )
-from .checks import run_suite
+from .checks import SUITES, run_suite
 from .errors import ValidationError
 from .figures import FIGURES, entropy2_datasets
 from .numerics import PeriodicGridFunction, _check_alias_window, check_periodic_grid
@@ -100,30 +106,17 @@ def _load_config(path) -> dict:
     return values
 
 
-def _merge_config(args, parser_keys):
-    """Fill argparse gaps from --config; unknown config keys are rejected."""
-    if not getattr(args, "config", None):
-        return
-    values = _load_config(args.config)
-    unknown = sorted(set(values) - set(parser_keys))
-    if unknown:
-        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-    for key, (cast, _default) in parser_keys.items():
-        if key in values and getattr(args, key, None) is None:
-            setattr(args, key, cast(values[key]))
-
-def _apply_defaults(args, parser_keys):
-    for key, (_cast, default) in parser_keys.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, default)
-
-
-def _json_report(report_dict, command, seed) -> str:
-    out = dict(report_dict)
-    out["command"] = command
-    out["timestamp"] = datetime.now(timezone.utc).isoformat()
-    out["seed"] = seed
-    return json.dumps(out, indent=2, sort_keys=True)
+def _emit(payload, command, seed, out):
+    """Write the JSON report to the file out, or print it."""
+    report = dict(payload)
+    report["command"] = command
+    report["timestamp"] = datetime.now(timezone.utc).isoformat()
+    report["seed"] = seed
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if out:
+        Path(out).write_text(text + "\n", encoding="utf-8", newline="\n")
+    else:
+        print(text)
 
 
 def _read_table(path):
@@ -163,30 +156,10 @@ def _uniform_grid_period(phis, path):
     return period
 
 
-BOUND_KEYS = {
-    "channel": (str, None),
-    "M": (int, None),
-    "eta": (float, None),
-    "method": (str, "fourier"),
-    "model": (str, None),
-    "overlap": (str, None),
-    "prior": (str, "uniform"),
-    "grid": (int, None),
-    "out": (str, None),
-    "seed": (int, None),
-}
-
-
 def cmd_bound(args, command):
     sources = [s for s in (args.channel, args.model, args.overlap) if s]
     if len(sources) != 1:
         raise ValidationError("pass exactly one of --channel/--model/--overlap")
-    if args.method not in ("fourier", "fisher"):
-        raise ValidationError("method must be fourier or fisher")
-    if args.prior != "uniform":
-        raise ValidationError("only the uniform prior is supported here")
-    if args.grid is not None and args.grid < 1:
-        raise ValidationError("--grid must be positive")
 
     if args.channel:
         if args.M is None or args.eta is None:
@@ -233,41 +206,8 @@ def cmd_bound(args, command):
             raise ValidationError("a conditional model implies --method fisher")
         report = fisher_bound(prior, model=est)
 
-    text = _json_report(report.to_json_dict(), command, args.seed)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8", newline="\n")
-    else:
-        print(text)
+    _emit(report.to_json_dict(), command, args.seed, args.out)
     return 3 if "divergent" in report.flags else 0
-
-
-FIGURE_KEYS = {
-    "kind": (str, None),
-    "M_max": (int, None),
-    "eta_min": (float, None),
-    "eta_max": (float, None),
-    "n_eta": (int, None),
-    "sigma_min": (float, None),
-    "sigma_max": (float, None),
-    "n_sigma": (int, None),
-    "N": (int, None),
-    "restarts": (int, None),
-    "grid": (int, None),
-    "out_dir": (str, "."),
-    "svg": (_parse_bool, False),
-    "seed": (int, None),
-}
-
-_FIGURE_KWARGS = {
-    "chi_qpe": {"kind": "kind", "M_max": "m_max", "eta_min": "eta_min",
-                "eta_max": "eta_max", "n_eta": "n_eta"},
-    "transition": {"eta_min": "eta_min", "eta_max": "eta_max",
-                   "M_max": "m_max", "n_eta": "n_eta"},
-    "b_sigma": {"sigma_min": "sigma_min", "sigma_max": "sigma_max",
-                "n_sigma": "n_sigma"},
-    "entropy2": {"N": "n_calls", "restarts": "restarts", "seed": "seed",
-                 "grid": "n_grid"},
-}
 
 
 def cmd_figure(args, command):
@@ -276,13 +216,20 @@ def cmd_figure(args, command):
             f"unknown figure {args.name!r}; choose from "
             f"{', '.join(sorted(FIGURES))}"
         )
+    # each builder takes the options named like its parameters; --seed,
+    # --out-dir and --svg are common to every figure
+    takes = inspect.signature(FIGURES[args.name]).parameters
     kwargs = {}
-    for flag, kw in _FIGURE_KWARGS[args.name].items():
-        val = getattr(args, flag)
-        if val is not None:
-            if flag in ("n_eta", "n_sigma") and val < 1:
-                raise ValidationError(f"--{flag.replace('_', '-')} must be at least 1")
-            kwargs[kw] = val
+    for param in args.params:
+        value = getattr(args, param.name)
+        if value is None or param.name in ("out_dir", "svg"):
+            continue
+        if param.name in takes:
+            kwargs[param.name] = value
+        elif param.name != "seed":
+            raise ValidationError(
+                f"figure {args.name} takes no {_flag(param.name)}"
+            )
     _write_datasets(FIGURES[args.name](**kwargs), Path(args.out_dir),
                     command, args.seed, args.svg)
     return 0
@@ -306,13 +253,6 @@ def _write_datasets(datasets, out_dir, command, seed, svg):
             print(svg_path)
 
 
-CHECK_KEYS = {
-    "trials": (int, 100),
-    "seed": (int, 0),
-    "out": (str, None),
-}
-
-
 def cmd_check(args, command):
     rows = run_suite(args.suite, seed=args.seed, trials=args.trials)
     for r in rows:
@@ -327,16 +267,6 @@ def cmd_check(args, command):
              for r in rows],
         )
     return 1 if n_fail else 0
-
-
-OPTIMIZE_KEYS = {
-    "N": (int, None),
-    "restarts": (int, 8),
-    "grid": (int, None),
-    "seed": (int, 0),
-    "out": (str, None),
-    "emit_csv": (str, None),
-}
 
 
 def cmd_optimize(args, command):
@@ -359,71 +289,144 @@ def cmd_optimize(args, command):
         "trace": list(trace),
         "coefficients": [float(c) for c in state.coefficients],
     }
-    text = _json_report(payload, command, args.seed)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8", newline="\n")
-    else:
-        print(text)
+    _emit(payload, command, args.seed, args.out)
     if args.emit_csv:
         _write_datasets(datasets, Path(args.emit_csv), command, args.seed, svg=False)
     return 0
 
 
-TWO_SEED_KEYS = {
-    "trials": (int, 100),
-    "n_min": (int, 2),
-    "n_max": (int, 4),
-    "grid": (int, 256),
-    "seed": (int, 0),
-    "out": (str, None),
-}
-
-
 def cmd_two_seed(args, command):
-    if args.trials < 1:
-        raise ValidationError("--trials must be at least 1")
-    if not 1 <= args.n_min <= args.n_max:
-        raise ValidationError("need 1 <= n-min <= n-max")
+    if args.n_min > args.n_max:
+        raise ValidationError("need n-min <= n-max")
     rng = np.random.default_rng(args.seed)
     trials = []
-    counts = {"always": 0, "fromconv": 0, "wonder": 0}
     for _ in range(args.trials):
         n_calls = int(rng.integers(args.n_min, args.n_max + 1))
         res = two_seed_experiment(random_seed_pair(n_calls, rng), args.grid)
-        trials.append({
-            "n_calls": n_calls,
-            "lambda_1": res.lambda_1,
-            "lambda_2": res.lambda_2,
-            "mi_single": res.mi_single,
-            "mi_split": res.mi_split,
-            "mi_merged": res.mi_merged,
-            "always_ok": res.always_ok,
-            "fromconv_ok": res.fromconv_ok,
-            "wonder_violated": res.wonder_violated,
-        })
-        counts["always"] += not res.always_ok
-        counts["fromconv"] += not res.fromconv_ok
-        counts["wonder"] += res.wonder_violated
-    payload = {
-        "trials": trials,
-        "summary": {
-            "n_trials": args.trials,
-            "always_violations": counts["always"],
-            "fromconv_violations": counts["fromconv"],
-            "wonder_satisfied": counts["wonder"],
-        },
+        trials.append({"n_calls": n_calls, **asdict(res)})
+    summary = {
+        "n_trials": args.trials,
+        "always_violations": sum(not t["always_ok"] for t in trials),
+        "fromconv_violations": sum(not t["fromconv_ok"] for t in trials),
+        "wonder_satisfied": sum(t["wonder_violated"] for t in trials),
     }
-    text = _json_report(payload, command, args.seed)
+    _emit({"trials": trials, "summary": summary}, command, args.seed, args.out)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8", newline="\n")
         print(
-            f"{args.trials} trials: {counts['always']} merged>single, "
-            f"{counts['fromconv']} convexity violations, "
-            f"{counts['wonder']} split>single"
+            f"{args.trials} trials: {summary['always_violations']} "
+            f"merged>single, {summary['fromconv_violations']} convexity "
+            f"violations, {summary['wonder_satisfied']} split>single"
         )
-    else:
-        print(text)
     return 0
+
+
+Param = namedtuple("Param", "name cast default minimum help",
+                   defaults=(None, None, None))
+KINDS = tuple(sorted(CHANNEL_KINDS))
+
+# subcommand -> (handler, help, positional argument, option table). Each
+# option row declares its --flag (underscores become dashes), config key,
+# type (a tuple: its choices; _parse_bool: a bare flag), default, minimum
+# and help; figure passes it to the builder parameter of the same name.
+COMMANDS = {
+    "bound": (cmd_bound, "evaluate a single bound, report JSON", None, (
+        Param("channel", KINDS),
+        Param("M", int, None, 1, "qubit count of the channel model"),
+        Param("eta", float, help="noise parameter in [0, 1]"),
+        Param("method", ("fourier", "fisher"), "fourier"),
+        Param("model", str, help="CSV of phi plus conditional outcome columns"),
+        Param("overlap", str, help="CSV of phi, re[, im] overlap samples"),
+        Param("prior", ("uniform",), "uniform"),
+        Param("grid", int, None, 1, "quadrature grid override"),
+        Param("out", str, help="write the JSON report here"),
+        Param("seed", int, None, 0),
+    )),
+    "figure": (cmd_figure, "emit a dataset as CSV (and SVG)",
+               Param("name", str, help=" | ".join(FIGURES)), (
+        Param("kind", KINDS),
+        Param("M_max", int, None, 1),
+        Param("eta_min", float),
+        Param("eta_max", float),
+        Param("n_eta", int, None, 1),
+        Param("sigma_min", float),
+        Param("sigma_max", float),
+        Param("n_sigma", int, None, 1),
+        Param("N", int, None, 0, "call budget for entropy2"),
+        Param("restarts", int, None, 1),
+        Param("grid", int, None, 1),
+        Param("out_dir", str, "."),
+        Param("svg", _parse_bool, False, help="also render an SVG line plot"),
+        Param("seed", int, None, 0),
+    )),
+    "check": (cmd_check, "run an invariant suite",
+              Param("suite", ("all", *SUITES)), (
+        Param("trials", int, 100, 1, "two-seed trial count"),
+        Param("seed", int, 0, 0),
+        Param("out", str, help="also write the report as CSV"),
+    )),
+    "optimize": (cmd_optimize, "optimize the input state", None, (
+        Param("N", int, None, 0, "call budget N"),
+        Param("restarts", int, 8, 1),
+        Param("grid", int, None, 1),
+        Param("seed", int, 0, 0),
+        Param("out", str, help="write the JSON report here"),
+        Param("emit_csv", str,
+              help="directory for the posterior/weights datasets"),
+    )),
+    "two-seed": (cmd_two_seed, "run seeded two-measurement trials", None, (
+        Param("trials", int, 100, 1),
+        Param("n_min", int, 2, 1),
+        Param("n_max", int, 4, 1),
+        Param("grid", int, 256, 1),
+        Param("seed", int, 0, 0),
+        Param("out", str, help="write the JSON trial log here"),
+    )),
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _argparse_type(param):
+    if param.cast is _parse_bool:
+        return {"action": "store_const", "const": True}
+    if isinstance(param.cast, tuple):
+        return {"choices": param.cast}
+    return {"type": param.cast}
+
+
+def _config_value(param, text):
+    """A config file value cast by its row; one that does not parse is bad
+    input."""
+    try:
+        if isinstance(param.cast, tuple):
+            if text not in param.cast:
+                raise ValueError(f"choose from {', '.join(param.cast)}")
+            return text
+        return param.cast(text)
+    except ValueError as exc:
+        raise ValidationError(f"config key {param.name}: {exc}") from None
+
+
+def _resolve(args, params):
+    """Fill each option not given as a flag from --config, else from its
+    default, then hold every option to its row's minimum."""
+    values = _load_config(args.config) if args.config else {}
+    unknown = sorted(set(values) - {param.name for param in params})
+    if unknown:
+        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+    for param in params:
+        if getattr(args, param.name) is None:
+            setattr(args, param.name,
+                    _config_value(param, values[param.name])
+                    if param.name in values else param.default)
+        value = getattr(args, param.name)
+        if (param.minimum is not None and value is not None
+                and value < param.minimum):
+            raise ValidationError(
+                f"{_flag(param.name)} must be at least {param.minimum}"
+            )
 
 
 @functools.cache
@@ -436,86 +439,28 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("bound", help="evaluate a single bound, report JSON")
-    p.add_argument("--channel", choices=sorted(CHANNEL_KINDS))
-    p.add_argument("--M", type=int, help="qubit count of the channel model")
-    p.add_argument("--eta", type=float, help="noise parameter in [0, 1]")
-    p.add_argument("--method", choices=("fourier", "fisher"))
-    p.add_argument("--model", help="CSV of phi plus conditional outcome columns")
-    p.add_argument("--overlap", help="CSV of phi, re[, im] overlap samples")
-    p.add_argument("--prior", help="prior name (uniform)")
-    p.add_argument("--grid", type=int, help="quadrature grid override")
-    p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="flat key=value parameter file")
-    p.set_defaults(func=cmd_bound, keys=BOUND_KEYS)
-
-    p = sub.add_parser("figure", help="emit a dataset as CSV (and SVG)")
-    p.add_argument("name", help="chi_qpe | transition | b_sigma | entropy2")
-    p.add_argument("--kind", choices=sorted(CHANNEL_KINDS))
-    p.add_argument("--M-max", dest="M_max", type=int)
-    p.add_argument("--eta-min", dest="eta_min", type=float)
-    p.add_argument("--eta-max", dest="eta_max", type=float)
-    p.add_argument("--n-eta", dest="n_eta", type=int)
-    p.add_argument("--sigma-min", dest="sigma_min", type=float)
-    p.add_argument("--sigma-max", dest="sigma_max", type=float)
-    p.add_argument("--n-sigma", dest="n_sigma", type=int)
-    p.add_argument("--N", type=int, help="call budget for entropy2")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--svg", action="store_const", const=True,
-                   help="also render an SVG line plot")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="flat key=value parameter file")
-    p.set_defaults(func=cmd_figure, keys=FIGURE_KEYS)
-
-    p = sub.add_parser("check", help="run an invariant suite")
-    p.add_argument("suite",
-                   choices=("all", "bounds", "channels", "protocols",
-                            "numerics"))
-    p.add_argument("--trials", type=int, help="two-seed trial count")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="also write the report as CSV")
-    p.add_argument("--config", help="flat key=value parameter file")
-    p.set_defaults(func=cmd_check, keys=CHECK_KEYS)
-
-    p = sub.add_parser("optimize", help="optimize the input state")
-    p.add_argument("--N", type=int, help="call budget N")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--emit-csv", dest="emit_csv",
-                   help="directory for the posterior/weights datasets")
-    p.add_argument("--config", help="flat key=value parameter file")
-    p.set_defaults(func=cmd_optimize, keys=OPTIMIZE_KEYS)
-
-    p = sub.add_parser("two-seed", help="run seeded two-measurement trials")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--n-min", dest="n_min", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="write the JSON trial log here")
-    p.add_argument("--config", help="flat key=value parameter file")
-    p.set_defaults(func=cmd_two_seed, keys=TWO_SEED_KEYS)
+    for cmd, (func, help_text, positional, params) in COMMANDS.items():
+        p = sub.add_parser(cmd, help=help_text)
+        if positional:
+            p.add_argument(positional.name, help=positional.help,
+                           **_argparse_type(positional))
+        for param in params:
+            p.add_argument(_flag(param.name), dest=param.name,
+                           help=param.help, **_argparse_type(param))
+        p.add_argument("--config", help="flat key=value parameter file")
+        p.set_defaults(func=func, params=params)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = " ".join(["mibounds"] + argv)
     try:
-        _merge_config(args, args.keys)
-        _apply_defaults(args, args.keys)
-        if args.seed is not None and args.seed < 0:
-            raise ValidationError("--seed must be nonnegative")
+        _resolve(args, args.params)
         return args.func(args, command)
-    except ValidationError as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
+        # bad arguments and files that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

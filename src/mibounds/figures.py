@@ -2,7 +2,8 @@
 
 Each builder returns one or more FigureData objects holding CSV columns
 and rows together with the line series used for the SVG rendering. The
-builders are deterministic for a fixed seed.
+builders are deterministic for a fixed seed. Their parameters carry the
+names of the `figure` options, which the CLI passes by name.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ class FigureData:
     log_y: bool = False
 
 
-def figure_chi_qpe(kind="dephasing", m_max=5, eta_min=0.0, eta_max=1.0,
+def figure_chi_qpe(kind="dephasing", M_max=5, eta_min=0.0, eta_max=1.0,
                    n_eta=101):
     """Spectrum entropy of noisy phase estimation versus noise strength."""
-    if m_max < 1:
-        raise ValidationError("m_max must be at least 1")
+    if M_max < 1:
+        raise ValidationError("M_max must be at least 1")
     etas = np.linspace(float(eta_min), float(eta_max), int(n_eta))
     rows = []
     series = []
-    for m in range(1, int(m_max) + 1):
+    for m in range(1, int(M_max) + 1):
         vals = [chi_closed_form(NoisyQpeModel(kind, m, float(e))) for e in etas]
         rows.extend((float(e), m, float(v)) for e, v in zip(etas, vals))
         series.append((f"M={m}", list(etas), vals))
@@ -56,16 +57,16 @@ def figure_chi_qpe(kind="dephasing", m_max=5, eta_min=0.0, eta_max=1.0,
     ]
 
 
-def figure_transition(eta_min=0.5, eta_max=1.0, m_max=5, n_eta=201):
+def figure_transition(eta_min=0.5, eta_max=1.0, M_max=5, n_eta=201):
     """Block-size enhancement term versus noise strength."""
-    if m_max < 1:
-        raise ValidationError("m_max must be at least 1")
+    if M_max < 1:
+        raise ValidationError("M_max must be at least 1")
     if not 0.0 < eta_min < eta_max <= 1.0:
         raise ValidationError("need 0 < eta_min < eta_max <= 1")
     etas = np.linspace(float(eta_min), float(eta_max), int(n_eta))
     rows = []
     series = []
-    for m in range(1, int(m_max) + 1):
+    for m in range(1, int(M_max) + 1):
         vals = [enhancement_term(m, float(e)) for e in etas]
         rows.extend((float(e), m, float(v)) for e, v in zip(etas, vals))
         series.append((f"M={m}", list(etas), vals))
@@ -107,14 +108,15 @@ def figure_b_sigma(sigma_min=1e-2, sigma_max=1e2, n_sigma=200):
     ]
 
 
-def figure_entropy2(n_calls=255, restarts=8, seed=7, n_grid=None):
-    """Posterior densities and weight profiles, uniform vs. optimized state;
-    n_grid (None: each default) is the optimizer's grid and the plot's."""
-    if n_grid is not None:
-        check_periodic_grid(n_grid)  # the plot needs it: fail before optimizing
-    optimal = optimize_en_state(int(n_calls), restarts=int(restarts),
-                                seed=int(seed), n_grid=n_grid)[0]
-    return entropy2_datasets(optimal, n_grid)
+def figure_entropy2(N=255, restarts=8, seed=7, grid=None):
+    """Posterior densities and weight profiles, uniform vs. optimized state,
+    for N calls; grid (None: each default) is the optimizer's grid and the
+    plot's."""
+    if grid is not None:
+        check_periodic_grid(grid)  # the plot needs it: fail before optimizing
+    optimal = optimize_en_state(int(N), restarts=int(restarts),
+                                seed=int(seed), n_grid=grid)[0]
+    return entropy2_datasets(optimal, grid)
 
 
 def entropy2_datasets(optimal: EntangledState, n_grid=None):

@@ -252,6 +252,14 @@ def binary_entropy(x: float) -> float:
     return float(out / LN2)
 
 
+def synthesized_density(c, n_grid):
+    """|sum_k c_k e^(i 2 pi j k / G)|^2 at j = 0..G-1 for G >= len(c), by
+    one zero-padded FFT: raw samples for any G, without validation."""
+    padded = np.zeros(n_grid, dtype=complex)
+    padded[: c.size] = c
+    return np.abs(np.fft.ifft(padded) * n_grid) ** 2
+
+
 def coefficients_to_density(c, n_grid) -> PeriodicGridFunction:
     """Density |sum_k c_k e^(i 2 pi k theta)|^2 on a period-1 grid.
 
@@ -264,21 +272,28 @@ def coefficients_to_density(c, n_grid) -> PeriodicGridFunction:
         raise GridTooCoarseError(
             f"synthesis grid {n_grid} too coarse for {c.size} amplitudes"
         )
-    padded = np.zeros(n_grid, dtype=complex)
-    padded[: c.size] = c
-    amp = np.fft.ifft(padded) * n_grid  # amp_j = sum_k c_k e^(+i 2 pi j k / n)
-    return PeriodicGridFunction(1.0, np.abs(amp) ** 2)
+    return PeriodicGridFunction(1.0, synthesized_density(c, n_grid))
+
+
+# largest explicit integer support (2 k_cut + 1 points) a Gaussian fit
+# allocates; the bracket end b = 10 sigma + 10 reaches it at sigma ~ 2.3e4
+MAX_GAUSS_SUPPORT = 2**22
+
+
+def _gauss_cut(b):
+    """Support half-width: terms below 1e-18 of the peak are dropped."""
+    return int(np.ceil(b * np.sqrt(2.0 * np.log(1e18)))) + 2
 
 
 def _gauss_sums(b):
     """S0 = sum exp(-k^2/2b^2) and S2 = sum k^2 exp(-k^2/2b^2) over integers.
 
-    Terms below 1e-18 of the peak are dropped; the discarded tail is
-    smaller than the returned values by many orders of magnitude.
+    The discarded tail beyond _gauss_cut(b) is smaller than the returned
+    values by many orders of magnitude.
     """
     if b <= 0.0:
         return 1.0, 0.0
-    k_cut = int(np.ceil(b * np.sqrt(2.0 * np.log(1e18)))) + 2
+    k_cut = _gauss_cut(b)
     k = np.arange(-k_cut, k_cut + 1, dtype=float)
     w = np.exp(-(k * k) / (2.0 * b * b))
     return float(w.sum()), float((k * k * w).sum())
@@ -298,8 +313,9 @@ def discrete_gaussian_fit(sigma2: float):
 
     Raises
     ------
-    BracketFailureError if the bracket [max(sigma/10, 1e-6), 10 sigma + 10]
-    does not straddle the target.
+    DomainError if the bracket end would need an integer support of more
+    than MAX_GAUSS_SUPPORT points; BracketFailureError if the bracket
+    [max(sigma/10, 1e-6), 10 sigma + 10] does not straddle the target.
     """
     if not (np.isfinite(sigma2) and sigma2 >= 0.0):
         raise DomainError("sigma2 must be finite and nonnegative")
@@ -310,6 +326,11 @@ def discrete_gaussian_fit(sigma2: float):
 
     sigma = float(np.sqrt(sigma2))
     lo, hi = max(sigma / 10.0, 1e-6), 10.0 * sigma + 10.0
+    if 2 * _gauss_cut(hi) + 1 > MAX_GAUSS_SUPPORT:
+        raise DomainError(
+            f"sigma2={sigma2:g} needs an integer support of more than "
+            f"{MAX_GAUSS_SUPPORT} points"
+        )
 
     def excess(b):
         s0, s2 = _gauss_sums(b)
@@ -331,7 +352,7 @@ def discrete_gaussian_fit(sigma2: float):
 
     s0, s2 = _gauss_sums(b)
     c = s0 / np.sqrt(TWO_PI)
-    k_cut = int(np.ceil(b * np.sqrt(2.0 * np.log(1e18)))) + 2
+    k_cut = _gauss_cut(b)
     ks = np.arange(-k_cut, k_cut + 1)
     weights = np.exp(-(ks.astype(float) ** 2) / (2.0 * b * b)) / s0
     spectrum = FourierSpectrum(ks, weights, tail_mass_bound=0.0)

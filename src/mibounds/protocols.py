@@ -32,6 +32,7 @@ from .numerics import (
     PeriodicGridFunction,
     coefficients_to_density,
     entropy_bits_of_weights,
+    synthesized_density,
 )
 
 
@@ -424,12 +425,6 @@ def circulant_mi(r) -> float:
     return float(np.log2(r.size) - entropy_bits_of_weights(r / mass))
 
 
-def _synthesized(r_coeffs, n_grid):
-    padded = np.zeros(n_grid, dtype=complex)
-    padded[: r_coeffs.size] = r_coeffs
-    return np.abs(np.fft.ifft(padded) * n_grid) ** 2
-
-
 def two_seed_experiment(pair: SeedPair, n_grid=256) -> TwoSeedResult:
     """Compare one covariant seed against a split pair of seeds.
 
@@ -453,9 +448,9 @@ def two_seed_experiment(pair: SeedPair, n_grid=256) -> TwoSeedResult:
     if n_grid < 8 * c.size:
         raise GridTooCoarseError("two-seed grid must be at least 8*(N+1)")
 
-    r_single = _synthesized(c, n_grid)
-    r_1 = _synthesized(np.conj(pair.a) * c, n_grid)
-    r_2 = _synthesized(np.conj(pair.b) * c, n_grid)
+    r_single = synthesized_density(c, n_grid)
+    r_1 = synthesized_density(np.conj(pair.a) * c, n_grid)
+    r_2 = synthesized_density(np.conj(pair.b) * c, n_grid)
 
     # seed masses must not depend on the true phase: column sums of the
     # conditional are constant by covariance, kept as an explicit check

@@ -2,45 +2,33 @@
 
 Each test prints `criterion NN <name>: PASS/FAIL (...)` and then asserts,
 so the pytest report carries exactly one pass/fail line per criterion.
-Criterion 03 fails by design: the reference curve 0.5*log2(1+2 pi e s^2)
-genuinely dips below the max-entropy spectrum entropy for sigma under
-about 0.037, and the scan reports that instead of hiding it.
+Criteria 01-07, 09, 10 and 11 run a check of the `mibounds.checks`
+registry on their own, larger domain; each keeps only its time budget,
+its line and its assert, so every invariant and threshold is written once,
+in the registry. Criterion 03 fails by design: the reference curve
+0.5*log2(1+2 pi e s^2) genuinely dips below the max-entropy spectrum
+entropy for sigma under about 0.037, and the scan reports that instead of
+hiding it.
 """
 
 import time
 
 import numpy as np
 
+from mibounds import checks
 from mibounds.bounds import (
-    MLE_GAP_LIMIT_BITS,
     PriorDensity,
     StateFamily,
-    companion_bound_comparison,
-    entropic_uncertainty_check,
-    fisher_bound,
     fourier_bound_from_overlap,
     fourier_bound_from_states,
-    mle_lower_bound,
-    nonperiodic_fourier_bound,
 )
 from mibounds.channels import (
     CHANNEL_KINDS,
     NoisyQpeModel,
-    chi_closed_form,
-    chi_numeric,
     overlap_function,
     purified_state_family,
 )
 from mibounds.cli import main
-from mibounds.numerics import gaussian_entropy_vs_bound
-from mibounds.protocols import (
-    EntangledState,
-    fourier_bound_ceiling,
-    optimize_en_state,
-    posterior_entropy,
-    random_seed_pair,
-    two_seed_experiment,
-)
 from mibounds.qpe_strategy import block_size_crossing, enhancement_term
 
 
@@ -50,37 +38,27 @@ def _verdict(number, name, passed, detail):
     return line
 
 
+def _criterion(number, name, budget_s, check, **domain):
+    """Run a registry check on the criterion's domain; a budget_s of None
+    sets no time limit."""
+    t0 = time.monotonic()
+    result = check(**domain)
+    elapsed = time.monotonic() - t0
+    ok = result.passed and (budget_s is None or elapsed < budget_s)
+    line = _verdict(number, name, ok, f"{result.detail}, {elapsed:.1f} s")
+    assert ok, line
+
+
 def test_criterion_01_noiseless_saturation():
     """chi(dephasing, M, eta=1) = M bits exactly for M = 1..20, under 1 s."""
-    t0 = time.monotonic()
-    worst = 0.0
-    for m in range(1, 21):
-        worst = max(
-            worst, abs(chi_closed_form(NoisyQpeModel("dephasing", m, 1.0)) - m)
-        )
-    elapsed = time.monotonic() - t0
-    ok = worst < 1e-12 and elapsed < 1.0
-    line = _verdict(1, "noiseless-saturation", ok,
-                    f"max |chi - M| = {worst:.3e}, {elapsed:.2f} s")
-    assert ok, line
+    _criterion(1, "noiseless-saturation", 1.0, checks.noiseless_saturation,
+               ms=range(1, 21))
 
 
 def test_criterion_02_closed_form_vs_numeric():
-    """Closed-form and quadrature chi agree to 1e-8 across the channel grid."""
-    t0 = time.monotonic()
-    worst = 0.0
-    for kind in CHANNEL_KINDS:
-        for m in range(1, 9):
-            for eta in np.linspace(0.0, 1.0, 11):
-                model = NoisyQpeModel(kind, m, float(eta))
-                worst = max(
-                    worst, abs(chi_numeric(model) - chi_closed_form(model))
-                )
-    elapsed = time.monotonic() - t0
-    ok = worst < 1e-8 and elapsed < 30.0
-    line = _verdict(2, "oracle-equivalence", ok,
-                    f"max |numeric - closed| = {worst:.3e} bits, {elapsed:.1f} s")
-    assert ok, line
+    """Closed-form and quadrature chi agree across the channel grid, M <= 8."""
+    _criterion(2, "oracle-equivalence", 30.0, checks.closed_form_vs_numeric,
+               ms=range(1, 9), etas=np.linspace(0.0, 1.0, 11))
 
 
 def test_criterion_03_entropy_under_reference_curve():
@@ -88,84 +66,32 @@ def test_criterion_03_entropy_under_reference_curve():
 
     Fails honestly: the reference curve undershoots the max-entropy
     spectrum for sigma below about 0.037 (worst around -5.8e-4 bits near
-    sigma = 0.02), so a margin floor of -1e-9 cannot hold there.
+    sigma = 0.02), so the registry's margin floor cannot hold there.
     """
-    t0 = time.monotonic()
-    rows = gaussian_entropy_vs_bound(np.logspace(-2, 2, 200))
-    elapsed = time.monotonic() - t0
-    worst = min(r[3] for r in rows)
-    worst_sigma = min(rows, key=lambda r: r[3])[0]
-    n_below = sum(r[3] < -1e-9 for r in rows)
-    ok = worst >= -1e-9 and elapsed < 10.0
-    line = _verdict(3, "entropy-vs-reference-curve", ok,
-                    f"min margin {worst:.3e} bits at sigma={worst_sigma:.4g}, "
-                    f"{n_below}/200 rows below -1e-9, {elapsed:.1f} s")
-    assert ok, line
+    _criterion(3, "entropy-vs-reference-curve", 10.0,
+               checks.entropy_vs_bound_scan)
 
 
 def test_criterion_04_mle_gap_limit():
-    """Upper-lower gap shrinks monotonically to log2(e/2) within 0.01 bits."""
-    prior = PriorDensity.uniform(1.0, 2048)
-    gaps = []
-    for nf in (1e2, 1e3, 1e4, 1e5, 1e6):
-        upper = fisher_bound(prior, fisher_avg=nf)
-        lower = mle_lower_bound(1, nf)
-        gaps.append(upper.bound_bits - lower.bound_bits)
-    monotone = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
-    final_err = abs(gaps[-1] - MLE_GAP_LIMIT_BITS)
-    ok = monotone and final_err < 0.01
-    line = _verdict(4, "gap-convergence", ok,
-                    f"gap at NF=1e6 is {gaps[-1]:.6f}, "
-                    f"|gap - log2(e/2)| = {final_err:.2e}, monotone={monotone}")
-    assert ok, line
+    """Upper-lower gap falls strictly to log2(e/2) on a 2048-point prior."""
+    _criterion(4, "gap-convergence", None, checks.mle_gap_limit, n_grid=2048)
 
 
 def test_criterion_05_companion_bound_ordering():
     """0.5 log2(1+eF/8pi) <= log2(1+sqrt(eF/8pi)) <= log2(1+sqrt(F)/2)."""
-    worst = np.inf
-    for fval in np.logspace(-2, 6, 100):
-        lo, mid, hi = companion_bound_comparison(float(fval))
-        worst = min(worst, mid - lo, hi - mid)
-    ok = worst > 0.0
-    line = _verdict(5, "bound-chain-ordering", ok,
-                    f"min strict separation {worst:.3e} bits over 100 F values")
-    assert ok, line
+    _criterion(5, "bound-chain-ordering", None, checks.companion_ordering)
 
 
 def test_criterion_06_entropic_uncertainty():
     """1000 seeded random states with N <= 64 keep H(error)+H(weights) >= 0."""
-    t0 = time.monotonic()
-    rng = np.random.default_rng(2024)
-    worst = np.inf
-    for _ in range(1000):
-        n = int(rng.integers(2, 66))  # N = n-1 <= 64
-        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        c /= np.linalg.norm(c)
-        worst = min(worst, entropic_uncertainty_check(c)[2])
-    elapsed = time.monotonic() - t0
-    ok = worst >= -1e-6 and elapsed < 60.0
-    line = _verdict(6, "entropic-uncertainty", ok,
-                    f"min entropy sum {worst:.3e} bits, {elapsed:.1f} s")
-    assert ok, line
+    _criterion(6, "entropic-uncertainty", 60.0, checks.entropic_uncertainty,
+               rng=np.random.default_rng(2024), n_states=1000, n_max=64)
 
 
 def test_criterion_07_en_optimization():
     """Optimized states beat flat weights at N = 7, 31, 255 within budget."""
-    t0 = time.monotonic()
-    details = []
-    ok = True
-    for n_calls in (7, 31, 255):
-        state, entropy, mi, _ = optimize_en_state(n_calls, restarts=8, seed=7)
-        uniform = posterior_entropy(EntangledState.uniform(n_calls))
-        gain = uniform - entropy
-        ceiling = np.log2(n_calls + 1)
-        ok = ok and gain >= 1e-3 and mi <= ceiling + 1e-6
-        details.append(f"N={n_calls}: gain {gain:.4f}, mi {mi:.4f} <= {ceiling:.0f}")
-    elapsed = time.monotonic() - t0
-    ok = ok and elapsed < 300.0
-    line = _verdict(7, "en-optimization", ok,
-                    "; ".join(details) + f", {elapsed:.1f} s")
-    assert ok, line
+    _criterion(7, "en-optimization", 300.0, checks.optimizer_improves,
+               seed=7, n_values=(7, 31, 255), restarts=8)
 
 
 def test_criterion_08_transition_structure():
@@ -194,28 +120,16 @@ def test_criterion_08_transition_structure():
 
 
 def test_criterion_09_two_seed_experiment():
-    """120 seeded seed-pair trials: merging never beats the single seed."""
-    t0 = time.monotonic()
-    rng = np.random.default_rng(77)
-    n_always = 0
-    n_wonder = 0
-    for _ in range(120):
-        n_calls = int(rng.integers(2, 5))
-        res = two_seed_experiment(random_seed_pair(n_calls, rng))
-        n_always += res.always_ok
-        n_wonder += res.wonder_violated
-    elapsed = time.monotonic() - t0
-    ok = n_always == 120 and n_wonder == 0 and elapsed < 300.0
-    line = _verdict(9, "two-seed-experiment", ok,
-                    f"{n_always}/120 merged<=single, {n_wonder} split>single, "
-                    f"{elapsed:.1f} s")
-    assert ok, line
+    """120 seeded seed-pair trials: merging never beats the single seed or
+    the split pair, and splitting never beats the single seed."""
+    _criterion(9, "two-seed-experiment", 300.0, checks.two_seed_inequalities,
+               rng=np.random.default_rng(77), trials=120)
 
 
 def test_criterion_10_path_consistency():
     """States route == overlap route; spectral bound <= Fisher bound."""
+    t0 = time.monotonic()
     worst_eq = 0.0
-    worst_ord = np.inf
     prior = PriorDensity.uniform(1.0, 512)
     for kind in CHANNEL_KINDS:
         for m in range(1, 7):
@@ -231,41 +145,23 @@ def test_criterion_10_path_consistency():
                 rep_overlap = fourier_bound_from_overlap(
                     overlap_function(model, 512)
                 )
-                rep_fisher = fisher_bound(
-                    prior, sigma2=rep_overlap.spectrum.second_moment()
-                )
                 worst_eq = max(
                     worst_eq,
                     abs(rep_states.bound_bits - rep_overlap.bound_bits),
                 )
-                worst_ord = min(
-                    worst_ord, rep_fisher.bound_bits - rep_overlap.bound_bits
-                )
-    ok = worst_eq < 1e-8 and worst_ord > -1e-9
+    ordering = checks.fourier_below_fisher(ms=range(1, 7))
+    elapsed = time.monotonic() - t0
+    ok = worst_eq < 1e-8 and ordering.passed
     line = _verdict(10, "path-consistency", ok,
                     f"max route mismatch {worst_eq:.3e} bits, "
-                    f"min fisher-fourier gap {worst_ord:.3f} bits")
+                    f"{ordering.detail}, {elapsed:.1f} s")
     assert ok, line
 
 
 def test_criterion_11_nonperiodic_stability():
-    """Window doubling moves the finite-support bound by under 1e-4 bits."""
-    sig = 0.05
-    prior_fn = lambda x: np.exp(-(x**2) / (2 * sig**2)) / (
-        sig * np.sqrt(2 * np.pi)
-    )
-    ks = np.arange(21)
-    amps = np.ones(21) / np.sqrt(21.0)
-    fam = lambda x: np.exp(2j * np.pi * np.outer(x, ks)) * amps
-    rep = nonperiodic_fourier_bound(fam, prior_fn, (-0.5, 0.5))
-    deltas = [
-        abs(b2 - b1) for (_, b1), (_, b2) in zip(rep.history, rep.history[1:])
-    ]
-    ok = bool(deltas) and deltas[-1] < 1e-4
-    line = _verdict(11, "nonperiodic-stability", ok,
-                    f"bound {rep.bound_bits:.7f} bits, last doubling moved "
-                    f"{deltas[-1]:.3e} bits")
-    assert ok, line
+    """Window doubling settles the finite-support bound."""
+    _criterion(11, "nonperiodic-stability", None,
+               checks.nonperiodic_window_doubling)
 
 
 def test_criterion_12_determinism(tmp_path, capsys):

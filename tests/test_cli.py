@@ -5,8 +5,11 @@ import io
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
@@ -387,6 +390,30 @@ def test_figure_unknown_name(capsys):
     assert code == 2 and "unknown figure" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["figure", "b_sigma", "--kind", "erasure"], "--kind"),
+    (["figure", "chi_qpe", "--grid", "64"], "--grid"),
+    (["figure", "transition", "--N", "7"], "--N"),
+    (["figure", "entropy2", "--sigma-max", "2"], "--sigma-max"),
+])
+def test_figure_rejects_flags_the_dataset_does_not_take(capsys, tmp_path,
+                                                        argv, flag):
+    """These flags used to be dropped silently with exit 0."""
+    code, out, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2 and flag in err and argv[1] in err
+    assert out == "" and not list(tmp_path.iterdir())
+
+
+def test_figure_common_flags_apply_to_every_dataset(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "figure", "b_sigma", "--n-sigma", "3", "--seed", "4",
+        "--svg", "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b_sigma.csv",
+                                                          "b_sigma.svg"]
+
+
 def test_check_passing_suite(capsys, tmp_path):
     out_path = tmp_path / "checks.csv"
     code, out, _ = run_cli(
@@ -620,6 +647,38 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     assert code == 2 and "no_such_option" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--config", "@missing"],
+    ["bound", "--channel", "dephasing", "--M", "2", "--eta", "1",
+     "--config", "@bad_config"],
+    ["bound", "--channel", "dephasing", "--config", "@dir"],
+    ["bound", "--config", "@binary"],
+    ["bound", "--overlap", "@dir"],
+    ["bound", "--overlap", "@binary"],
+    ["bound", "--model", "@dir", "--method", "fisher"],
+    ["bound", "--model", "@binary", "--method", "fisher"],
+    ["check", "channels", "--out", "@missing/x.csv"],
+    ["bound", "--channel", "dephasing", "--M", "2", "--eta", "1",
+     "--out", "@missing/x.json"],
+    ["figure", "b_sigma", "--n-sigma", "3", "--out-dir", "@file"],
+    ["figure", "b_sigma", "--sigma-min", "1e8", "--sigma-max", "1e9",
+     "--out-dir", "@dir"],
+])
+def test_bad_paths_and_values_exit_two(capsys, tmp_path, argv):
+    """Each of these ended in a traceback with exit 1: missing, directory
+    and non-UTF-8 input files, a config value that does not parse, an
+    output in a missing directory, an output directory that is a file, and
+    a b_sigma scan asking for a 136 GiB support."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "binary").write_bytes(b"\xff\xfe\x00phi,re\n\x80\n")
+    (tmp_path / "bad_config").write_text("grid = abc\n", encoding="utf-8")
+    (tmp_path / "file").write_text("x\n", encoding="utf-8")
+    argv = [a.replace("@", f"{tmp_path}/") for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("error: ")
+    assert (tmp_path / "dir").is_dir() and not list((tmp_path / "dir").iterdir())
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mibounds", "--version"],
@@ -677,3 +736,105 @@ def test_every_command_runs_with_scipy_blocked():
     codes, failed = json.loads(proc.stdout)
     assert codes == [0, 0, 0, 1, 0, 0]
     assert failed == ["numerics.entropy_vs_bound_scan"]  # criterion 03
+
+
+# Fuzzing: every subcommand with arguments drawn from its option table.
+# Caps keep each run cheap; the table itself declares no maximums.
+FUZZ_CAPS = {"M_max": 3, "n_eta": 4, "n_sigma": 4, "N": 7, "restarts": 2,
+             "trials": 3, "n_max": 6, "grid": 96}
+# appended before the drawn flags (the last occurrence of a flag wins), so
+# a run left at its defaults is capped as well
+FUZZ_BASE = {"chi_qpe": ["--M-max=3", "--n-eta=4"],
+             "transition": ["--M-max=3", "--n-eta=4"],
+             "b_sigma": ["--n-sigma=4"],
+             "entropy2": ["--N=7", "--restarts=2"],
+             "check": ["--trials=3"], "optimize": ["--restarts=2"],
+             "two-seed": ["--trials=3"]}
+FUZZ_FLOATS = ("nan", "inf", "-inf", "-1.0", "0.0", "0.3", "1.0", "2.0", "1e9")
+# path stand-ins, made real in a fresh directory for every example
+FUZZ_PATHS = ("@missing", "@dir", "@binary", "@text", "@overlap", "@model",
+              "@file", "@new", "@new/sub", "@missing/out")
+# "all" and "numerics" are left out: fixed 0.25-0.4 s suites, run by
+# test_check_failing_suite_exits_one and the scipy-blocked test above
+FUZZ_SUITES = ("bounds", "channels", "protocols", "nosuch")
+
+
+def fuzz_value(param):
+    if isinstance(param.cast, tuple):
+        return hst.sampled_from(param.cast + ("nosuch",))
+    if param.cast is int:  # every int row declares a minimum
+        low, cap = param.minimum, FUZZ_CAPS.get(param.name, 64)
+        return hst.one_of(hst.sampled_from([low - 1, low]),
+                          hst.integers(low, cap)).map(str) | \
+            hst.sampled_from(["nan", "1.5"])
+    if param.cast is float:
+        return hst.sampled_from(FUZZ_FLOATS)
+    return hst.sampled_from(FUZZ_PATHS)
+
+
+@hst.composite
+def fuzz_argv(draw):
+    cmd = draw(hst.sampled_from(sorted(cli.COMMANDS)))
+    _, _, positional, params = cli.COMMANDS[cmd]
+    argv = [cmd]
+    base = FUZZ_BASE.get(cmd, [])
+    if cmd == "figure":
+        argv.append(draw(hst.sampled_from(sorted(mibounds.FIGURES)
+                                          + ["nosuch"])))
+        base = FUZZ_BASE.get(argv[1], [])
+    elif positional is not None:
+        argv.append(draw(hst.sampled_from(FUZZ_SUITES)))
+    argv += base
+    for param in draw(hst.lists(hst.sampled_from(params), max_size=4,
+                                unique_by=lambda p: p.name)):
+        flag = "--" + param.name.replace("_", "-")
+        if param.cast is cli._parse_bool:
+            argv.append(flag)
+        else:
+            argv.append(f"{flag}={draw(fuzz_value(param))}")
+    if draw(hst.integers(0, 4)) == 0:
+        argv.append(f"--config={draw(hst.sampled_from(FUZZ_PATHS))}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    inputs = root / "inputs"
+    (inputs / "dir").mkdir(parents=True)
+    (inputs / "binary").write_bytes(b"\xff\xfe\x00\x80phi=1\n")
+    (inputs / "text").write_text("grid = abc\nno key here\n", encoding="utf-8")
+    phis = np.arange(64) / 64
+    f = 0.6 + 0.8 * np.exp(2j * np.pi * phis)
+    (inputs / "overlap").write_text("phi,re,im\n" + "".join(
+        f"{p!r},{v.real!r},{v.imag!r}\n" for p, v in zip(phis, f)),
+        encoding="utf-8")
+    write_cosine_model(inputs / "model", 64)
+    (inputs / "file").write_text("x", encoding="utf-8")
+    return root
+
+
+def file_bytes(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=fuzz_argv())
+def test_fuzz_every_subcommand(fuzz_inputs, argv):
+    """Exit 0, 2 or 3 (1 only from a failing check), no other exception,
+    and a successful run leaves output on stdout or in a file."""
+    work = Path(tempfile.mkdtemp(dir=fuzz_inputs))
+    shutil.copytree(fuzz_inputs / "inputs", work, dirs_exist_ok=True)
+    before = file_bytes(work)
+    argv = [re.sub(r"@(\w+)", lambda m: str(work / m.group(1)), a)
+            for a in argv]
+    cwd = os.getcwd()
+    os.chdir(work)  # figure writes to "." by default
+    try:
+        code, out, _ = run_quiet(*argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        code, out = exc.code, ""
+    finally:
+        os.chdir(cwd)
+    assert code in ((0, 1, 2, 3) if argv[0] == "check" else (0, 2, 3)), argv
+    assert code != 0 or out.strip() or file_bytes(work) != before, argv

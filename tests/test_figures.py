@@ -22,7 +22,7 @@ def test_figures_registry():
 
 
 def test_chi_qpe_dataset():
-    (fig,) = figure_chi_qpe(m_max=4, n_eta=11)
+    (fig,) = figure_chi_qpe(M_max=4, n_eta=11)
     assert fig.name == "chi_qpe"
     assert fig.columns == ("eta", "M", "value_bits")
     assert len(fig.rows) == 44
@@ -35,7 +35,7 @@ def test_chi_qpe_dataset():
 
 
 def test_transition_dataset():
-    (fig,) = figure_transition(eta_min=0.4, m_max=5, n_eta=51)
+    (fig,) = figure_transition(eta_min=0.4, M_max=5, n_eta=51)
     assert fig.columns == ("eta", "M", "value_bits")
     at_one = sorted((m, v) for eta, m, v in fig.rows if eta == 1.0)
     vals = [v for _, v in at_one]
@@ -62,7 +62,7 @@ def test_b_sigma_dataset():
 
 
 def test_entropy2_dataset():
-    curve, weights = figure_entropy2(n_calls=7, restarts=4, seed=0)
+    curve, weights = figure_entropy2(N=7, restarts=4, seed=0)
     assert curve.name == "entropy2"
     assert curve.columns == ("theta", "p_uniform", "p_optimal")
     assert weights.name == "entropy2_weights"

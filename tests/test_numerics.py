@@ -10,6 +10,7 @@ from mibounds.errors import (
     ValidationError,
 )
 from mibounds.numerics import (
+    MAX_GAUSS_SUPPORT,
     FourierSpectrum,
     PeriodicGridFunction,
     ProbabilityVector,
@@ -22,6 +23,7 @@ from mibounds.numerics import (
     fourier_modes,
     gaussian_entropy_vs_bound,
     shannon_entropy,
+    synthesized_density,
 )
 
 
@@ -166,6 +168,28 @@ def test_coefficients_to_density_mass():
         c /= np.linalg.norm(c)
         dens = coefficients_to_density(c, 64)
         assert abs(dens.integral() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n_grid", [6, 7, 64, 257])
+def test_synthesized_density_matches_direct_sum(n_grid):
+    """The raw zero-padded synthesis, odd grids included, against the sum
+    |sum_k c_k e^(i 2 pi j k / G)|^2 written out."""
+    rng = np.random.default_rng(n_grid)
+    c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    j = np.arange(n_grid)[:, None]
+    direct = np.abs(np.exp(2j * np.pi * j * np.arange(5) / n_grid) @ c) ** 2
+    assert np.max(np.abs(synthesized_density(c, n_grid) - direct)) < 1e-12
+
+
+def test_discrete_gaussian_fit_refuses_support_over_cap():
+    """sigma = 1e8 asked for a 136 GiB support; past the cap it is bad
+    input, raised before any array is built."""
+    with pytest.raises(DomainError, match="integer support"):
+        discrete_gaussian_fit(1e16)
+    sigma = (MAX_GAUSS_SUPPORT / 2 / np.sqrt(2 * np.log(1e18)) - 12) / 10
+    with pytest.raises(DomainError):
+        discrete_gaussian_fit((1.01 * sigma) ** 2)
+    assert 2.2e4 < sigma < 2.4e4
 
 
 def test_discrete_gaussian_fit_constraints():
