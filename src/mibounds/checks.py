@@ -1,10 +1,10 @@
 """Check registry behind the `check` CLI command and the acceptance criteria.
 
 Each check is one function, registered in SUITES under its suite, that
-tests one documented property of the library. Its input domain and its
-threshold are keyword arguments whose defaults are the `check` domain:
-small, fast and seeded. The acceptance criteria call the same functions
-on larger domains, so every invariant and threshold is written once.
+tests one documented property of the library against a threshold written
+once, in its body. The acceptance criteria call the same functions on
+larger domains: a domain value a criterion widens is a keyword argument
+whose default is the `check` domain (small, fast and seeded).
 A check returns a CheckResult. run_suite passes each check the run
 values its signature names: `rng`, one generator seeded by `seed` and
 shared by the suite's checks in order, `seed` and `trials`; so suites
@@ -84,23 +84,20 @@ def _check(suite):
 
 
 @_check("numerics")
-def trig_poly_exact(tol=1e-12):
+def trig_poly_exact():
     """Exact weights of a trigonometric polynomial with known modes."""
     coeffs = {0: 0.3, 1: 0.5, -2: 0.2, 5: -0.4}
     grid = PeriodicGridFunction.from_callable(
         lambda p: sum(c * np.exp(2j * np.pi * k * p) for k, c in coeffs.items()),
-        1.0,
-        256,
+        1.0, 256,
     )
-    spec = fourier_coefficients(grid, (-8, 8))
-    err = max(
-        abs(spec.as_dict().get(k, 0.0) - c * c) for k, c in coeffs.items()
-    )
-    return err < tol, f"max weight error {err:.3e}"
+    weights = fourier_coefficients(grid, (-8, 8)).as_dict()
+    err = max(abs(weights.get(k, 0.0) - c * c) for k, c in coeffs.items())
+    return err < 1e-12, f"max weight error {err:.3e}"
 
 
 @_check("numerics")
-def parseval_tail(rng, tol=1e-8):
+def parseval_tail(rng):
     """Parseval on a random normalized mode vector; the tail never grows."""
     c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     c /= np.linalg.norm(c)
@@ -114,71 +111,64 @@ def parseval_tail(rng, tol=1e-8):
         s = fourier_coefficients(f, (-2, k_hi))
         masses.append(s.total_mass())
         tails.append(s.tail_mass_bound)
-    ok = abs(masses[-1] - 1.0) < tol and all(
+    ok = abs(masses[-1] - 1.0) < 1e-8 and all(
         t2 <= t1 + 1e-12 for t1, t2 in zip(tails, tails[1:])
     )
     return ok, f"mass {masses[-1]:.12f}, tails {tails}"
 
 
 @_check("numerics")
-def gaussian_fit_constraints(sigma2s=(0.25, 1.0, 25.0), tol=1e-10):
+def gaussian_fit_constraints():
     """The discrete-Gaussian solver meets both of its constraints."""
     worst = 0.0
-    for s2 in sigma2s:
+    for s2 in (0.25, 1.0, 25.0):
         _, _, spectrum = discrete_gaussian_fit(s2)
-        worst = max(
-            worst,
-            abs(spectrum.total_mass() - 1.0),
-            abs(spectrum.second_moment() - s2) / s2,
-        )
-    return worst < tol, f"worst constraint error {worst:.3e}"
+        worst = max(worst, abs(spectrum.total_mass() - 1.0),
+                    abs(spectrum.second_moment() - s2) / s2)
+    return worst < 1e-10, f"worst constraint error {worst:.3e}"
 
 
 @_check("numerics")
-def entropy_vs_bound_scan(sigmas=np.logspace(-2, 2, 200), tol=1e-9):
+def entropy_vs_bound_scan():
     """Max-entropy spectrum entropy stays under 0.5 log2(1 + 2 pi e s^2)."""
-    table = gaussian_entropy_vs_bound(sigmas)
+    table = gaussian_entropy_vs_bound(np.logspace(-2, 2, 200))
     margins = np.array([row[3] for row in table])
     i_min = int(np.argmin(margins))
-    floor = np.format_float_scientific(-tol, trim="-", exp_digits=1)
-    return margins.min() >= -tol, (
+    return margins.min() >= -1e-9, (
         f"min margin {margins.min():.3e} bits at sigma={table[i_min][0]:.4g}, "
-        f"{int((margins < -tol).sum())}/{len(table)} rows below {floor}"
+        f"{int((margins < -1e-9).sum())}/{len(table)} rows below -1e-9"
     )
 
 
 @_check("numerics")
-def entropy_concavity(rng, n_pairs=20, tol=1e-12):
+def entropy_concavity(rng):
     """Shannon entropy is concave on random pairs of distributions."""
     worst = np.inf
-    for _ in range(n_pairs):
+    for _ in range(20):
         p = rng.random(16)
         q = rng.random(16)
         p /= p.sum()
         q /= q.sum()
         lam = rng.random()
         mix = lam * p + (1 - lam) * q
-        worst = min(
-            worst,
-            entropy_bits_of_weights(mix)
-            - lam * entropy_bits_of_weights(p)
-            - (1 - lam) * entropy_bits_of_weights(q),
-        )
-    return worst > -tol, f"min concavity gap {worst:.3e}"
+        worst = min(worst, entropy_bits_of_weights(mix)
+                    - lam * entropy_bits_of_weights(p)
+                    - (1 - lam) * entropy_bits_of_weights(q))
+    return worst > -1e-12, f"min concavity gap {worst:.3e}"
 
 
 @_check("bounds")
-def fisher_closed_form(tol=1e-12):
+def fisher_closed_form():
     """Fisher route on the exactly solvable constant-Fisher model."""
     rep = fisher_bound(PriorDensity.uniform(1.0, 4096),
                        fisher_avg=4.0 * np.pi**2)
     expected = 0.5 * np.log2(1.0 + np.e * np.pi / 2.0)
-    return (abs(rep.bound_bits - expected) < tol,
+    return (abs(rep.bound_bits - expected) < 1e-12,
             f"bound {rep.bound_bits:.12f} vs {expected:.12f}")
 
 
 @_check("bounds")
-def sigma2_cosine_model(tol=1e-5):
+def sigma2_cosine_model():
     """sigma^2 of the cosine two-outcome model approaches 1/4."""
     prior = PriorDensity.uniform(1.0, 4096)
     phis = prior.grid
@@ -186,96 +176,96 @@ def sigma2_cosine_model(tol=1e-5):
         [np.cos(np.pi * phis) ** 2, np.sin(np.pi * phis) ** 2], axis=1
     )
     s2, flags = sigma_squared(prior, model=EstimationModel(prior, cond))
-    return abs(s2 - 0.25) < tol and not flags, f"sigma2 {s2:.8f}"
+    return abs(s2 - 0.25) < 1e-5 and not flags, f"sigma2 {s2:.8f}"
 
 
 @_check("bounds")
-def fourier_below_fisher(ms=(1, 2, 3), etas=(0.25, 0.5, 0.75, 1.0), tol=1e-9):
-    """The spectral route never exceeds the Fisher route on the channels."""
+def fourier_below_fisher(ms=(1, 2, 3), n_grid=None):
+    """The spectral route (overlaps on n_grid) never exceeds the Fisher one."""
     worst = np.inf
     for kind in CHANNEL_KINDS:
         for m in ms:
-            for eta in etas:
-                model = NoisyQpeModel(kind, m, eta)
-                fr = fourier_bound_from_overlap(overlap_function(model))
+            for eta in (0.25, 0.5, 0.75, 1.0):
+                fr = fourier_bound_from_overlap(
+                    overlap_function(NoisyQpeModel(kind, m, eta), n_grid))
                 fb = fisher_bound(
                     PriorDensity.uniform(1.0, 512),
                     sigma2=fr.spectrum.second_moment(),
                 )
                 worst = min(worst, fb.bound_bits - fr.bound_bits)
-    return worst > -tol, f"min fisher-fourier gap {worst:.3e} bits"
+    return worst > -1e-9, f"min fisher-fourier gap {worst:.3e} bits"
 
 
 @_check("bounds")
-def companion_ordering(fisher_values=np.logspace(-2, 6, 100)):
+def companion_ordering():
     """0.5 log2(1+eF/8pi) < log2(1+sqrt(eF/8pi)) < log2(1+sqrt(F)/2)."""
     worst = np.inf
-    for fval in fisher_values:
+    for fval in np.logspace(-2, 6, 100):
         lo, mid, hi = companion_bound_comparison(float(fval))
         worst = min(worst, mid - lo, hi - mid)
     return worst > 0.0, (f"min strict separation {worst:.3e} bits over "
-                         f"{len(fisher_values)} F values")
+                         f"100 F values")
 
 
 @_check("bounds")
-def mle_gap_limit(n_grid=4096, fisher_values=(1e2, 1e3, 1e4, 1e5, 1e6),
-                  tol=0.01):
-    """The Fisher-MLE gap falls strictly and ends within tol of log2(e/2)."""
+def mle_gap_limit(n_grid=4096):
+    """The Fisher-MLE gap falls strictly to within 0.01 bits of log2(e/2)."""
     prior = PriorDensity.uniform(1.0, n_grid)
     gaps = [fisher_bound(prior, fisher_avg=nf).bound_bits
-            - mle_lower_bound(1, nf).bound_bits for nf in fisher_values]
+            - mle_lower_bound(1, nf).bound_bits
+            for nf in (1e2, 1e3, 1e4, 1e5, 1e6)]
     falling = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
-    return falling and abs(gaps[-1] - MLE_GAP_LIMIT_BITS) < tol, (
-        f"gap {gaps[0]:.4f} -> {gaps[-1]:.6f} at NF={fisher_values[-1]:g} vs "
+    return falling and abs(gaps[-1] - MLE_GAP_LIMIT_BITS) < 0.01, (
+        f"gap {gaps[0]:.4f} -> {gaps[-1]:.6f} at NF=1e+06 vs "
         f"{MLE_GAP_LIMIT_BITS:.6f}, strictly falling={falling}"
     )
 
 
-def _narrow_gaussian(x, sig=0.05):
+def _narrow_gaussian(x):
+    sig = 0.05
     return np.exp(-x**2 / (2 * sig**2)) / (sig * np.sqrt(2 * np.pi))
 
 
 @_check("bounds")
-def nonperiodic_window_doubling(n_modes=21, tol=1e-4):
+def nonperiodic_window_doubling():
     """Finite-support embedding: the last window doubling settles."""
-    ks = np.arange(n_modes)
-    amps = np.ones(n_modes) / np.sqrt(n_modes)
+    ks = np.arange(21)
+    amps = np.ones(21) / np.sqrt(21.0)
     fam = lambda x: np.exp(2j * np.pi * np.outer(x, ks)) * amps
     rep = nonperiodic_fourier_bound(fam, _narrow_gaussian, (-0.5, 0.5))
     deltas = [abs(b2 - b1) for (_, b1), (_, b2) in zip(rep.history,
                                                        rep.history[1:])]
-    return bool(deltas) and deltas[-1] < tol, (
+    return bool(deltas) and deltas[-1] < 1e-4, (
         f"bound {rep.bound_bits:.7f} bits, last doubling moved "
         f"{deltas[-1]:.3e} bits"
     )
 
 
 @_check("bounds")
-def nonperiodic_flat_family(tol=1e-6):
+def nonperiodic_flat_family():
     """A phase-independent family floors at the minimum-uncertainty value."""
     const = lambda x: np.tile(np.array([1.0 + 0j, 0.0]), (len(x), 1))
     rep = nonperiodic_fourier_bound(const, _narrow_gaussian, (-0.5, 0.5))
     floor = float(np.log2(np.e / 2.0))
-    return abs(rep.bound_bits - floor) < tol, (
+    return abs(rep.bound_bits - floor) < 1e-6, (
         f"bound {rep.bound_bits:.9f} vs min-uncertainty floor {floor:.9f}"
     )
 
 
 @_check("bounds")
-def entropic_uncertainty(rng, n_states=200, n_max=63, tol=1e-6):
-    """Phase/number entropy sum stays nonnegative on random states, N <= n_max."""
+def entropic_uncertainty(rng, n_states=200, n_max=63):
+    """Phase/number entropy sum is nonnegative on random states, N <= n_max."""
     worst = np.inf
     for _ in range(n_states):
         n = int(rng.integers(2, n_max + 2))
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c /= np.linalg.norm(c)
         worst = min(worst, entropic_uncertainty_check(c)[2])
-    return worst > -tol, f"min entropy sum {worst:.3e} bits"
+    return worst > -1e-6, f"min entropy sum {worst:.3e} bits"
 
 
 @_check("channels")
-def closed_form_vs_numeric(ms=range(1, 7), etas=np.linspace(0.0, 1.0, 5),
-                           tol=1e-8):
+def closed_form_vs_numeric(ms=range(1, 7), etas=np.linspace(0.0, 1.0, 5)):
     """Closed-form and quadrature chi agree across the channel grid."""
     worst = 0.0
     for kind in CHANNEL_KINDS:
@@ -284,19 +274,19 @@ def closed_form_vs_numeric(ms=range(1, 7), etas=np.linspace(0.0, 1.0, 5),
                 model = NoisyQpeModel(kind, m, float(eta))
                 worst = max(worst, abs(chi_numeric(model)
                                        - chi_closed_form(model)))
-    return worst < tol, f"max |difference| {worst:.3e} bits"
+    return worst < 1e-8, f"max |difference| {worst:.3e} bits"
 
 
 @_check("channels")
-def noiseless_saturation(ms=range(1, 11), tol=1e-12):
+def noiseless_saturation(ms=range(1, 11)):
     """chi(dephasing, M, eta = 1) = M bits."""
     worst = max(abs(chi_closed_form(NoisyQpeModel("dephasing", m, 1.0)) - m)
                 for m in ms)
-    return worst < tol, f"max |chi - M| {worst:.3e} bits"
+    return worst < 1e-12, f"max |chi - M| {worst:.3e} bits"
 
 
 @_check("channels")
-def purification_overlap(tol=1e-8):
+def purification_overlap():
     """The purified family reproduces the product overlap pointwise."""
     worst = 0.0
     for kind in CHANNEL_KINDS:
@@ -307,22 +297,22 @@ def purification_overlap(tol=1e-8):
         f_from_states = states @ states[0].conj()
         worst = max(worst, float(np.max(np.abs(
             f_from_states - f_direct.values[::8]))))
-    return worst < tol, f"max |mismatch| {worst:.3e}"
+    return worst < 1e-8, f"max |mismatch| {worst:.3e}"
 
 
 @_check("channels")
-def qfi_monotone_in_M(ms=range(1, 6), eta=0.9):
+def qfi_monotone_in_M():
     """The dephasing QFI grows with the qubit count."""
-    qfis = [dephasing_qfi(m, eta) for m in ms]
+    qfis = [dephasing_qfi(m, 0.9) for m in range(1, 6)]
     ok = all(q2 > q1 > 0.0 for q1, q2 in zip(qfis, qfis[1:]))
-    return ok, f"QFI(M={ms[0]}..{ms[-1]}) = {[f'{q:.4g}' for q in qfis]}"
+    return ok, f"QFI(M=1..5) = {[f'{q:.4g}' for q in qfis]}"
 
 
 @_check("protocols")
-def mi_entropy_duality(rng, n_states=10, tol=1e-6):
+def mi_entropy_duality(rng):
     """Circulant MI equals minus the posterior entropy."""
     worst = 0.0
-    for _ in range(n_states):
+    for _ in range(10):
         n = int(rng.integers(2, 7))
         c = rng.standard_normal(n)
         c /= np.linalg.norm(c)
@@ -330,28 +320,26 @@ def mi_entropy_duality(rng, n_states=10, tol=1e-6):
         ent = posterior_entropy(state, 512)
         mi = circulant_mi(covariant_posterior(state, 512).values)
         worst = max(worst, abs(mi + ent))
-    return worst < tol, f"max |MI + H| {worst:.3e} bits"
+    return worst < 1e-6, f"max |MI + H| {worst:.3e} bits"
 
 
 @_check("protocols")
-def ceiling_respected(rng, n_states=50, tol=1e-6):
+def ceiling_respected(rng):
     """Information never exceeds the spectrum-entropy ceiling."""
     worst = np.inf
-    for _ in range(n_states):
+    for _ in range(50):
         n = int(rng.integers(2, 33))
         c = rng.standard_normal(n)
         c /= np.linalg.norm(c)
         state = EntangledState(c)
         worst = min(worst, fourier_bound_ceiling(state)
                     + posterior_entropy(state))
-    return worst > -tol, f"min ceiling slack {worst:.3e} bits"
+    return worst > -1e-6, f"min ceiling slack {worst:.3e} bits"
 
 
 @_check("protocols")
-def optimizer_improves(seed, n_values=(7,), restarts=4, min_gain=1e-3,
-                       tol=1e-6):
-    """Optimized states beat flat weights by min_gain bits and stay under
-    the log2(N + 1) ceiling."""
+def optimizer_improves(seed, n_values=(7,), restarts=4):
+    """Optimized states gain 1e-3 bits on flat weights, under log2(N + 1)."""
     ok = True
     details = []
     for n_calls in n_values:
@@ -359,21 +347,21 @@ def optimizer_improves(seed, n_values=(7,), restarts=4, min_gain=1e-3,
                                               seed=seed)
         gain = posterior_entropy(EntangledState.uniform(n_calls)) - entropy
         ceiling = np.log2(n_calls + 1)
-        ok = ok and gain >= min_gain and mi <= ceiling + tol
+        ok = ok and gain >= 1e-3 and mi <= ceiling + 1e-6
         details.append(f"N={n_calls}: gain {gain:.4f}, mi {mi:.4f} "
                        f"<= {ceiling:.0f}")
     return ok, "; ".join(details)
 
 
 @_check("protocols")
-def two_seed_inequalities(rng, trials=100, grid=256):
+def two_seed_inequalities(rng, trials=100):
     """Merging seeds never beats the single seed nor the split pair, and
     the split pair never beats the single seed."""
     worst_always = worst_conv = worst_wonder = np.inf
     failures = 0
     for _ in range(int(trials)):
         pair = random_seed_pair(int(rng.integers(2, 5)), rng)
-        res = two_seed_experiment(pair, grid)
+        res = two_seed_experiment(pair, 256)
         worst_always = min(worst_always, res.mi_single - res.mi_merged)
         worst_conv = min(worst_conv, res.mi_split - res.mi_merged)
         worst_wonder = min(worst_wonder, res.mi_single - res.mi_split)

@@ -217,19 +217,15 @@ def cmd_figure(args, command):
             f"{', '.join(sorted(FIGURES))}"
         )
     # each builder takes the options named like its parameters; --seed,
-    # --out-dir and --svg are common to every figure
+    # --out-dir and --svg are common to every figure. A flag the builder
+    # does not take is an error; a config key it does not take is not, so
+    # one config file can serve every figure.
     takes = inspect.signature(FIGURES[args.name]).parameters
-    kwargs = {}
-    for param in args.params:
-        value = getattr(args, param.name)
-        if value is None or param.name in ("out_dir", "svg"):
-            continue
-        if param.name in takes:
-            kwargs[param.name] = value
-        elif param.name != "seed":
-            raise ValidationError(
-                f"figure {args.name} takes no {_flag(param.name)}"
-            )
+    for name in args.flags:
+        if name not in takes and name not in ("seed", "out_dir", "svg"):
+            raise ValidationError(f"figure {args.name} takes no {_flag(name)}")
+    kwargs = {param.name: getattr(args, param.name) for param in args.params
+              if param.name in takes and getattr(args, param.name) is not None}
     _write_datasets(FIGURES[args.name](**kwargs), Path(args.out_dir),
                     command, args.seed, args.svg)
     return 0
@@ -410,8 +406,11 @@ def _config_value(param, text):
 
 
 def _resolve(args, params):
-    """Fill each option not given as a flag from --config, else from its
-    default, then hold every option to its row's minimum."""
+    """Record the options given as flags in args.flags, fill the others
+    from --config, else from their defaults, then hold every option to its
+    row's minimum."""
+    args.flags = [param.name for param in params
+                  if getattr(args, param.name) is not None]
     values = _load_config(args.config) if args.config else {}
     unknown = sorted(set(values) - {param.name for param in params})
     if unknown:

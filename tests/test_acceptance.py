@@ -149,7 +149,7 @@ def test_criterion_10_path_consistency():
                     worst_eq,
                     abs(rep_states.bound_bits - rep_overlap.bound_bits),
                 )
-    ordering = checks.fourier_below_fisher(ms=range(1, 7))
+    ordering = checks.fourier_below_fisher(ms=range(1, 7), n_grid=512)
     elapsed = time.monotonic() - t0
     ok = worst_eq < 1e-8 and ordering.passed
     line = _verdict(10, "path-consistency", ok,

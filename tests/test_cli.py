@@ -638,6 +638,22 @@ def test_config_flag_wins_over_file(capsys, tmp_path):
     assert len(lines) == 4 + 2 * 3
 
 
+@pytest.mark.parametrize("name", ["chi_qpe", "transition", "b_sigma"])
+def test_config_shared_across_figures(capsys, tmp_path, name):
+    """Config keys a figure does not take are ignored, unlike its flags."""
+    cfg = tmp_path / "fig.cfg"
+    cfg.write_text("kind = erasure\nM_max = 2\nn-eta = 3\nn_sigma = 3\n",
+                   encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, "figure", name, "--config", str(cfg),
+        "--out-dir", str(out_dir),
+    )
+    assert code == 0, err
+    lines = (out_dir / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 4 + (3 if name == "b_sigma" else 2 * 3)
+
+
 def test_config_unknown_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "fig.cfg"
     cfg.write_text("no_such_option = 1\n", encoding="utf-8")
