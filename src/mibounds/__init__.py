@@ -30,14 +30,12 @@ from .channels import (
 from .numerics import (
     FourierSpectrum,
     PeriodicGridFunction,
-    ProbabilityVector,
     binary_entropy,
     differential_entropy,
     discrete_gaussian_fit,
     fourier_coefficients,
     fourier_modes,
     gaussian_entropy_vs_bound,
-    shannon_entropy,
 )
 from .protocols import (
     EntangledState,

@@ -15,7 +15,7 @@ an entropic uncertainty check for number/phase pairs live here too.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -34,6 +34,7 @@ from .numerics import (
     FourierSpectrum,
     PeriodicGridFunction,
     _check_alias_window,
+    check_periodic_grid,
     coefficients_to_density,
     differential_entropy,
     entropy_bits_of_weights,
@@ -55,14 +56,12 @@ class PriorDensity:
 
     q defaults to sqrt(p); a caller may pass any complex q with the same
     modulus (the bound depends on the choice, the default is the plain
-    square root). finite_support marks priors that really live on a
-    sub-interval and were embedded in a larger window.
+    square root).
     """
 
     period: float
     values: np.ndarray
     q_values: Optional[np.ndarray] = None
-    finite_support: Optional[tuple] = None
 
     def __post_init__(self):
         pgf = PeriodicGridFunction(self.period, np.asarray(self.values, dtype=float))
@@ -102,12 +101,6 @@ class PriorDensity:
     def uniform(cls, period=1.0, n_grid=4096):
         return cls(period, np.full(n_grid, 1.0 / period))
 
-    @classmethod
-    def from_callable(cls, fn, period=1.0, n_grid=4096, q_fn=None):
-        phis = np.arange(n_grid) * (period / n_grid)
-        q = None if q_fn is None else np.asarray(q_fn(phis), dtype=complex)
-        return cls(period, np.asarray(fn(phis), dtype=float), q_values=q)
-
 
 @dataclass(frozen=True)
 class StateFamily:
@@ -124,8 +117,7 @@ class StateFamily:
         st = np.asarray(self.states, dtype=complex)
         if st.ndim != 2:
             raise ValidationError("states must be a (grid, dim) array")
-        if st.shape[0] < 2 or st.shape[0] % 2 != 0:
-            raise ValidationError("grid size must be even and at least 2")
+        check_periodic_grid(st.shape[0])
         # real/imag are views, so no array-sized temporaries; <= fails on NaN
         sq = np.einsum("ij,ij->i", st.real, st.real)
         sq += np.einsum("ij,ij->i", st.imag, st.imag)
@@ -136,11 +128,6 @@ class StateFamily:
     @property
     def n_grid(self):
         return self.states.shape[0]
-
-    @classmethod
-    def from_callable(cls, fn, period=1.0, n_grid=4096):
-        phis = np.arange(n_grid) * (period / n_grid)
-        return cls(period, np.asarray(fn(phis), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -165,10 +152,6 @@ class EstimationModel:
                 "conditional rows must sum to 1 within 1e-8"
             )
         object.__setattr__(self, "conditional", cond)
-
-    @classmethod
-    def from_callable(cls, prior, fn):
-        return cls(prior, np.asarray(fn(prior.grid), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -215,15 +198,33 @@ def _spectrum_from_states(family: StateFamily, prior: PriorDensity, k_range):
     for lo in range(0, family.states.shape[1], width):
         coeffs = np.fft.fft(q * family.states[:, lo:lo + width], axis=0)[rows]
         power += (coeffs.real ** 2 + coeffs.imag ** 2).sum(axis=1)
-    weights = family.period * power / float(g) ** 2
+    return ks, family.period * power / float(g) ** 2
+
+
+def _spectral_report(ks, weights, prior_entropy_bits) -> BoundReport:
+    """The spectral route's report for weights f_k on the window ks.
+
+    Its bound is the spectrum entropy -sum f_k log2 f_k, the whole bound
+    under a uniform prior, where -log2 L + H(phi) = 0. Raises
+    NumericalFailureError when the mass sum f_k is not finite or exceeds
+    1 beyond 1e-9; 1 - mass bounds the weight outside the window, and more
+    than 1e-9 of it flags "truncated_spectrum".
+    """
     total = float(weights.sum())
-    if not math.isfinite(total):
-        raise NumericalFailureError("spectrum mass is not finite")
-    if total > 1.0 + 1e-9:
+    if not total <= 1.0 + 1e-9:  # fails on NaN and inf too
         raise NumericalFailureError(
-            f"spectrum mass {total:.12g} exceeds 1; grid or inputs are inconsistent"
+            f"spectrum mass {total:.12g} is not finite or exceeds 1; "
+            "grid or inputs are inconsistent"
         )
-    return FourierSpectrum(ks, weights, tail_mass_bound=max(0.0, 1.0 - total))
+    spectrum = FourierSpectrum(ks, weights, tail_mass_bound=max(0.0, 1.0 - total))
+    return BoundReport(
+        method="fourier",
+        bound_bits=spectrum.entropy_bits(),
+        prior_entropy_bits=prior_entropy_bits,
+        tail_mass_bound=spectrum.tail_mass_bound,
+        flags=("truncated_spectrum",) if spectrum.tail_mass_bound > 1e-9 else (),
+        spectrum=spectrum,
+    )
 
 
 def fourier_bound_from_states(
@@ -239,40 +240,24 @@ def fourier_bound_from_states(
     the input array plus one block. Raises NumericalFailureError when the
     spectrum mass is not finite or exceeds 1.
     """
-    spectrum = _spectrum_from_states(family, prior, k_range)
-    bound = (
-        spectrum.entropy_bits()
-        - np.log2(prior.period)
-        + prior.entropy_bits
-    )
-    flags = ()
-    if spectrum.tail_mass_bound > 1e-9:
-        flags = ("truncated_spectrum",)
-    return BoundReport(
-        method="fourier",
-        bound_bits=float(bound),
-        prior_entropy_bits=float(prior.entropy_bits),
-        tail_mass_bound=spectrum.tail_mass_bound,
-        flags=flags,
-        spectrum=spectrum,
-    )
+    report = _spectral_report(*_spectrum_from_states(family, prior, k_range),
+                              float(prior.entropy_bits))
+    bound = report.bound_bits - np.log2(prior.period) + prior.entropy_bits
+    return replace(report, bound_bits=float(bound))
 
 
-def fourier_bound_from_overlap(f: PeriodicGridFunction, k_range=None) -> BoundReport:
+def fourier_bound_from_overlap(f: PeriodicGridFunction) -> BoundReport:
     """Spectral upper bound from an overlap function f(phi) = <psi_0|psi_phi>.
 
     Valid for unitary encodings under the uniform prior, where the linear
-    Fourier coefficients of f are exactly the spectral weights f_k.
-    Requires f(0) = 1 within 1e-8. Flags "truncated_spectrum" when more
-    than 1e-9 of the mass lies outside the k window, as the states route
-    does.
+    Fourier coefficients of f are exactly the spectral weights f_k on the
+    widest window the grid resolves, |k| <= (G - 2) // 4. Requires
+    f(0) = 1 within 1e-8.
     """
     if abs(f.values[0] - 1.0) > 1e-8:
         raise ValidationError("overlap must satisfy f(0) = 1 within 1e-8")
-    if k_range is None:
-        half = (f.n_grid - 2) // 4
-        k_range = (-half, half)
-    ks, coeffs = fourier_modes(f, k_range)
+    half = (f.n_grid - 2) // 4
+    ks, coeffs = fourier_modes(f, (-half, half))
     if np.max(np.abs(coeffs.imag)) > 1e-9:
         raise NumericalFailureError("overlap spectrum has non-real coefficients")
     weights = coeffs.real
@@ -280,24 +265,9 @@ def fourier_bound_from_overlap(f: PeriodicGridFunction, k_range=None) -> BoundRe
         raise NumericalFailureError(
             "overlap spectrum has negative weights beyond tolerance"
         )
-    weights = np.clip(weights, 0.0, None)
-    total = float(weights.sum())
-    if total > 1.0 + 1e-9:
-        raise NumericalFailureError(f"overlap spectrum mass {total:.12g} exceeds 1")
-    spectrum = FourierSpectrum(ks, weights, tail_mass_bound=max(0.0, 1.0 - total))
-    # uniform prior: -log2 L + H(phi) = 0, the bound is the spectrum entropy
-    prior_entropy = float(np.log2(f.period))
-    flags = ()
-    if spectrum.tail_mass_bound > 1e-9:
-        flags = ("truncated_spectrum",)
-    return BoundReport(
-        method="fourier",
-        bound_bits=spectrum.entropy_bits(),
-        prior_entropy_bits=prior_entropy,
-        tail_mass_bound=spectrum.tail_mass_bound,
-        flags=flags,
-        spectrum=spectrum,
-    )
+    # the uniform prior's entropy log2 L cancels in the bound
+    return _spectral_report(ks, np.clip(weights, 0.0, None),
+                            float(np.log2(f.period)))
 
 
 def _has_step_discontinuity(values):
@@ -428,47 +398,35 @@ def _next_even(n):
     return n if n % 2 == 0 else n + 1
 
 
-def nonperiodic_fourier_bound(
-    family_fn,
-    prior_fn,
-    support,
-    *,
-    window_factor=4.0,
-    k_band=16.0,
-    max_doublings=6,
-    tol_converged=1e-4,
-    tol_fail=1e-3,
-) -> BoundReport:
+def nonperiodic_fourier_bound(family_fn, prior_fn, support) -> BoundReport:
     """Spectral bound for a prior supported on a finite interval.
 
-    Embeds the problem in a periodic window at least `window_factor`
-    times the support, evaluates the periodic bound, and doubles the
-    window until two successive values agree within `tol_converged` bits.
-    The density of Fourier modes grows with the window, approaching the
+    Embeds the problem in a periodic window 4 times the support,
+    evaluates the periodic bound, and doubles the window, at most 6
+    times, until two successive values agree within 1e-4 bits. The
+    density of Fourier modes grows with the window, approaching the
     continuous-spectrum bound.
 
     family_fn(phis) must return normalized states (len(phis), dim);
-    prior_fn(phis) the prior density, zero outside `support`; k_band is
-    the starting absolute frequency band (cycles per unit phi) kept on
-    each side.  The band is doubled automatically while the out-of-band
-    spectral mass exceeds 1e-8: a fixed mass deficit eps would otherwise
-    bias the bound by -eps bits per window doubling and fake a drift.
+    prior_fn(phis) the prior density, zero outside `support`. The band
+    kept on each side starts at 16 cycles per unit phi and is doubled
+    while the out-of-band spectral mass exceeds 1e-8: a fixed mass
+    deficit eps would otherwise bias the bound by -eps bits per window
+    doubling and fake a drift.
 
     Raises NonConvergenceError if the last doubling still moved the
-    result by more than `tol_fail` bits, or if the band cannot be made
-    wide enough to capture the spectrum.
+    result by more than 1e-3 bits, or if the band cannot be made wide
+    enough to capture the spectrum.
     """
     a, b_end = float(support[0]), float(support[1])
     if not b_end > a:
         raise ValidationError("support must be a nonempty interval (a, b)")
-    if window_factor < 2.0:
-        raise ValidationError("window_factor must be at least 2")
-    span = b_end - a
     history = []
     report = None
     band_widened = False
-    window = window_factor * span
-    for _ in range(max_doublings + 1):
+    k_band = 16.0
+    window = 4.0 * (b_end - a)
+    for _ in range(7):
         mid = 0.5 * (a + b_end)
         start = mid - 0.5 * window
         for widening in range(7):
@@ -486,7 +444,7 @@ def nonperiodic_fourier_bound(
                     f"prior mass on support is {mass:.6g}, expected about 1"
                 )
             dens = dens / mass  # periodized prior is renormalized exactly
-            prior = PriorDensity(window, dens, finite_support=(a, b_end))
+            prior = PriorDensity(window, dens)
             family = StateFamily(window, np.asarray(family_fn(phis), dtype=complex))
             rep = fourier_bound_from_states(family, prior, (-n_side, n_side))
             if rep.tail_mass_bound <= 1e-8:
@@ -500,7 +458,7 @@ def nonperiodic_fourier_bound(
         history.append((window, rep.bound_bits))
         if len(history) >= 2:
             delta = abs(history[-1][1] - history[-2][1])
-            if delta < tol_converged:
+            if delta < 1e-4:
                 report = rep
                 break
         window *= 2.0
@@ -509,7 +467,7 @@ def nonperiodic_fourier_bound(
         flags = flags + ("band_widened",)
     if report is None:
         delta = abs(history[-1][1] - history[-2][1])
-        if delta > tol_fail:
+        if delta > 1e-3:
             raise NonConvergenceError(
                 f"window doubling still moves the bound by {delta:.3g} bits"
             )
@@ -526,22 +484,22 @@ def nonperiodic_fourier_bound(
     )
 
 
-def mle_lower_bound(n_repetitions: int, fisher: float, period: float = 1.0
-                    ) -> BoundReport:
-    """Asymptotic achievable information 0.5 log2(L^2 N F / (2 pi e)).
+def mle_lower_bound(n_repetitions: int, fisher: float) -> BoundReport:
+    """Asymptotic achievable information 0.5 log2(N F / (2 pi e)) on a
+    period-1 prior.
 
-    Large-N maximum-likelihood performance; meaningful once L^2 N F is
-    well above 2 pi e, hence the "asymptotic" flag.
+    Large-N maximum-likelihood performance; meaningful once N F is well
+    above 2 pi e, hence the "asymptotic" flag.
     """
     if int(n_repetitions) < 1:
         raise ValidationError("n_repetitions must be at least 1")
     if fisher <= 0.0:
         raise DomainError("fisher must be positive for the MLE estimate")
-    value = 0.5 * np.log2(period**2 * n_repetitions * fisher / (TWO_PI * np.e))
+    value = 0.5 * np.log2(n_repetitions * fisher / (TWO_PI * np.e))
     return BoundReport(
         method="mle-lower",
         bound_bits=float(value),
-        prior_entropy_bits=float(np.log2(period)),
+        prior_entropy_bits=0.0,
         flags=("asymptotic",),
     )
 
@@ -567,20 +525,21 @@ def companion_bound_comparison(fisher: float):
     return float(fisher_form), float(sqrt_form), float(reference_form)
 
 
-def entropic_uncertainty_check(c, n_grid=8192):
+def entropic_uncertainty_check(c):
     """Number/phase entropic uncertainty for amplitudes c_k, k = 0..len-1.
 
     Returns (phase_entropy_bits, number_entropy_bits, total_bits) where
     the phase entropy is the differential entropy of
     p(theta) = |sum_k c_k e^(i 2 pi k theta)|^2 and the number entropy is
-    the Shannon entropy of |c_k|^2. The total is never below zero up to
-    quadrature error; it approaches zero for single-mode states.
+    the Shannon entropy of |c_k|^2, on max(8192, 2 len(c)) points. The
+    total is never below zero up to quadrature error; it approaches zero
+    for single-mode states.
     """
     c = np.asarray(c, dtype=complex)
     weights = np.abs(c) ** 2
     if abs(weights.sum() - 1.0) > 1e-8:
         raise NonNormalizedDensityError("amplitudes must satisfy sum |c_k|^2 = 1")
-    density = coefficients_to_density(c, max(int(n_grid), 2 * c.size))
+    density = coefficients_to_density(c, max(8192, 2 * c.size))
     # the synthesized density integrates to sum |c|^2 exactly (Parseval)
     phase_entropy = differential_entropy(density)
     number_entropy = entropy_bits_of_weights(weights)

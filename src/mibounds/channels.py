@@ -62,21 +62,27 @@ class NoisyQpeModel:
         return 2 ** self.n_qubits - 1
 
 
+# per channel, (x_j, a^2) of qubit j's purification factor
+# a|u> + b e^(i 2 pi 2^j phi)|v> + c|w>: x_j = b^2 from eta and p = 2^j,
+# a^2 from y = eta^p, and c^2 = 1 - a^2 - b^2. Dephasing's x_j takes
+# eta^(2p) as its own power: 0.5 * y * y differs from it in the last bit.
+_FACTOR_WEIGHTS = {
+    "dephasing": (lambda eta, p: eta ** (2.0 * p) / 2.0,
+                  lambda y: np.full_like(y, 0.5)),
+    "amplitude-damping": (lambda eta, p: (y := eta**p) / (4.0 - 2.0 * y),
+                          lambda y: 1.0 - 0.5 * y),
+    "erasure": (lambda eta, p: eta**p / 2.0, lambda y: 0.5 * y),
+}
+
+
 def mode_weight_args(model: NoisyQpeModel):
-    """Oscillating-term coefficients x_j of the per-qubit overlap factors.
+    """Oscillating-term coefficients x_j = b^2 of the per-qubit overlap factors.
 
     Qubit j contributes the factor 1 - x_j + x_j e^(i 2 pi 2^j phi), so
     the chi increment of qubit j is the binary entropy of x_j.
     """
-    j = np.arange(model.n_qubits, dtype=float)
-    eta = model.eta
-    if model.kind == "dephasing":
-        return eta ** (2.0 ** (j + 1)) / 2.0
-    if model.kind == "amplitude-damping":
-        y = eta ** (2.0**j)
-        return y / (4.0 - 2.0 * y)
-    y = eta ** (2.0**j)  # erasure
-    return y / 2.0
+    p = 2.0 ** np.arange(model.n_qubits, dtype=float)
+    return _FACTOR_WEIGHTS[model.kind][0](model.eta, p)
 
 
 def overlap_function(model: NoisyQpeModel, n_grid=None) -> PeriodicGridFunction:
@@ -102,8 +108,9 @@ def chi_closed_form(model: NoisyQpeModel) -> float:
     return float(sum(binary_entropy(float(x)) for x in mode_weight_args(model)))
 
 
-def chi_numeric(model: NoisyQpeModel, n_grid=None) -> float:
-    """chi recomputed from the gridded overlap by Fourier projection.
+def chi_numeric(model: NoisyQpeModel) -> float:
+    """chi recomputed from the gridded overlap by Fourier projection on
+    2^(M+1) points.
 
     Kept to M <= 10: the mode count 2^M drives the grid size. Agrees with
     chi_closed_form to well within 1e-8 there.
@@ -111,9 +118,7 @@ def chi_numeric(model: NoisyQpeModel, n_grid=None) -> float:
     if model.n_qubits > 10:
         raise ValidationError("numeric chi path kept to n_qubits <= 10")
     k_max = model.n_calls
-    if n_grid is None:
-        n_grid = 2 * (k_max + 1)
-    f = overlap_function(model, n_grid)
+    f = overlap_function(model, 2 * (k_max + 1))
     _, coeffs = fourier_modes(f, (0, k_max))
     if np.max(np.abs(coeffs.imag)) > 1e-9:
         raise ValidationError("overlap coefficients are not real")
@@ -135,25 +140,14 @@ def dephasing_qfi(n_qubits: int, eta: float) -> float:
     return float((2.0 * np.pi) ** 2 * (4.0**j * eta ** (2.0**j)).sum())
 
 
-# (a^2, b^2, c^2) of qubit j's purification factor at y = eta^(2^j);
-# each triple sums to 1, and b^2 is the x_j of mode_weight_args
-_FACTOR_WEIGHTS = {
-    "dephasing": lambda y: (0.5, 0.5 * y * y, 0.5 * (1.0 - y * y)),
-    "amplitude-damping": lambda y: (
-        1.0 - 0.5 * y, y / (4.0 - 2.0 * y), y * (1.0 - y) / (4.0 - 2.0 * y)
-    ),
-    "erasure": lambda y: (0.5 * y, 0.5 * y, 1.0 - y),
-}
-
-
-def _factor_states(model: NoisyQpeModel, j: int, phis):
+def _factor_states(amplitudes, j: int, phis):
     """Qubit j's factor a|u> + b e^(i 2 pi 2^j phi)|v> + c|w>: (len(phis), 3).
 
     The full purification lives in 4 (erasure: 6) dimensions, but only the
     fixed orthonormal u, v, w ever carry amplitude; the other coordinates
     are zero for every phi, so dropping them changes no <psi_phi|psi_phi'>.
     """
-    a, b, c = np.sqrt(_FACTOR_WEIGHTS[model.kind](model.eta ** (2.0**j)))
+    a, b, c = amplitudes
     out = np.empty((phis.size, 3), dtype=complex)
     out[:, 0] = a
     out[:, 1] = b * np.exp(1j * 2.0 * np.pi * (2**j) * phis)
@@ -172,8 +166,12 @@ def purified_state_family(model: NoisyQpeModel, phis):
     if model.n_qubits > 6:
         raise ValidationError("purified family construction kept to n_qubits <= 6")
     phis = np.asarray(phis, dtype=float)
+    x_fn, a2_fn = _FACTOR_WEIGHTS[model.kind]
+    p = 2.0 ** np.arange(model.n_qubits, dtype=float)
+    b2, a2 = x_fn(model.eta, p), a2_fn(model.eta**p)
+    amplitudes = np.sqrt([a2, b2, np.maximum(0.0, 1.0 - a2 - b2)])  # (3, M)
     states = np.ones((phis.size, 1), dtype=complex)
     for j in range(model.n_qubits):
-        factor = _factor_states(model, j, phis)
+        factor = _factor_states(amplitudes[:, j], j, phis)
         states = (states[:, :, None] * factor[:, None, :]).reshape(phis.size, -1)
     return states

@@ -23,6 +23,7 @@ import argparse
 import functools
 import inspect
 import json
+import os
 import sys
 from collections import namedtuple
 from dataclasses import asdict
@@ -48,7 +49,12 @@ from .channels import (
 from .checks import SUITES, run_suite
 from .errors import ValidationError
 from .figures import FIGURES, entropy2_datasets
-from .numerics import PeriodicGridFunction, _check_alias_window, check_periodic_grid
+from .numerics import (
+    PeriodicGridFunction,
+    _check_alias_window,
+    check_periodic_grid,
+    check_points,
+)
 from .protocols import (
     EntangledState,
     fourier_bound_ceiling,
@@ -90,12 +96,18 @@ def _write_csv(path: Path, command: str, seed, columns, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _read_text(path) -> str:
+    """An input file's text; one that is not UTF-8 is bad input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
+
+
 def _load_config(path) -> dict:
     """Flat key=value file; `#` comments and blank lines are skipped."""
     values = {}
-    for lineno, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -123,7 +135,7 @@ def _read_table(path):
     """Numeric CSV (optional header, `#` comments) -> (names, columns)."""
     names = None
     rows = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -181,7 +193,9 @@ def cmd_bound(args, command):
                     "the Fisher route needs the channel Fisher information, "
                     "available for dephasing only"
                 )
-            prior = PriorDensity.uniform(1.0, args.grid or 4096)
+            n_grid = args.grid or 4096
+            check_points(n_grid, "prior grid")
+            prior = PriorDensity.uniform(1.0, n_grid)
             report = fisher_bound(
                 prior, fisher_avg=dephasing_qfi(args.M, args.eta)
             )
@@ -242,7 +256,7 @@ def _write_datasets(datasets, out_dir, command, seed, svg):
             svg_path.write_text(
                 render_line_plot(
                     data.series, title=data.title, x_label=data.x_label,
-                    y_label=data.y_label, log_x=data.log_x, log_y=data.log_y,
+                    y_label=data.y_label, log_x=data.log_x,
                 ),
                 encoding="utf-8", newline="\n",
             )
@@ -268,8 +282,10 @@ def cmd_check(args, command):
 def cmd_optimize(args, command):
     if args.N is None:
         raise ValidationError("--N is required")
-    if args.emit_csv and args.grid is not None:
-        check_periodic_grid(args.grid)  # the plot needs it: fail before optimizing
+    if args.emit_csv:  # the plot's grid and directory fail before optimizing
+        if args.grid is not None:
+            check_periodic_grid(args.grid)
+        Path(args.emit_csv).mkdir(parents=True, exist_ok=True)
     state, entropy_bits, mi_bits, trace = optimize_en_state(
         args.N, restarts=args.restarts, seed=args.seed, n_grid=args.grid
     )
@@ -457,8 +473,12 @@ def main(argv=None) -> int:
     command = " ".join(["mibounds"] + argv)
     try:
         _resolve(args, args.params)
+        out = getattr(args, "out", None)
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            # an output in a missing directory fails before the work
+            raise ValidationError(f"{out}: no directory {os.path.dirname(out)}")
         return args.func(args, command)
-    except (ValidationError, OSError, UnicodeDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         # bad arguments and files that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,58 +29,40 @@ class FigureData:
     x_label: str = ""
     y_label: str = ""
     log_x: bool = False
-    log_y: bool = False
+
+
+def _eta_sweep(name, title, value, M_max, eta_min, eta_max, n_eta):
+    """value(M, eta) on n_eta etas for M = 1..M_max: one (eta, M, value)
+    row per point and one line per M."""
+    if M_max < 1:
+        raise ValidationError("M_max must be at least 1")
+    etas = np.linspace(float(eta_min), float(eta_max), int(n_eta))
+    rows = []
+    series = []
+    for m in range(1, int(M_max) + 1):
+        vals = [value(m, float(e)) for e in etas]
+        rows.extend((float(e), m, float(v)) for e, v in zip(etas, vals))
+        series.append((f"M={m}", list(etas), vals))
+    return [FigureData(name=name, columns=("eta", "M", "value_bits"),
+                       rows=tuple(rows), series=tuple(series), title=title,
+                       x_label="eta", y_label="bits")]
 
 
 def figure_chi_qpe(kind="dephasing", M_max=5, eta_min=0.0, eta_max=1.0,
                    n_eta=101):
     """Spectrum entropy of noisy phase estimation versus noise strength."""
-    if M_max < 1:
-        raise ValidationError("M_max must be at least 1")
-    etas = np.linspace(float(eta_min), float(eta_max), int(n_eta))
-    rows = []
-    series = []
-    for m in range(1, int(M_max) + 1):
-        vals = [chi_closed_form(NoisyQpeModel(kind, m, float(e))) for e in etas]
-        rows.extend((float(e), m, float(v)) for e, v in zip(etas, vals))
-        series.append((f"M={m}", list(etas), vals))
-    return [
-        FigureData(
-            name="chi_qpe",
-            columns=("eta", "M", "value_bits"),
-            rows=tuple(rows),
-            series=tuple(series),
-            title=f"spectrum entropy, {kind} channel",
-            x_label="eta",
-            y_label="bits",
-        )
-    ]
+    return _eta_sweep(
+        "chi_qpe", f"spectrum entropy, {kind} channel",
+        lambda m, eta: chi_closed_form(NoisyQpeModel(kind, m, eta)),
+        M_max, eta_min, eta_max, n_eta)
 
 
 def figure_transition(eta_min=0.5, eta_max=1.0, M_max=5, n_eta=201):
     """Block-size enhancement term versus noise strength."""
-    if M_max < 1:
-        raise ValidationError("M_max must be at least 1")
     if not 0.0 < eta_min < eta_max <= 1.0:
         raise ValidationError("need 0 < eta_min < eta_max <= 1")
-    etas = np.linspace(float(eta_min), float(eta_max), int(n_eta))
-    rows = []
-    series = []
-    for m in range(1, int(M_max) + 1):
-        vals = [enhancement_term(m, float(e)) for e in etas]
-        rows.extend((float(e), m, float(v)) for e, v in zip(etas, vals))
-        series.append((f"M={m}", list(etas), vals))
-    return [
-        FigureData(
-            name="transition",
-            columns=("eta", "M", "value_bits"),
-            rows=tuple(rows),
-            series=tuple(series),
-            title="enhancement term per repetition",
-            x_label="eta",
-            y_label="bits",
-        )
-    ]
+    return _eta_sweep("transition", "enhancement term per repetition",
+                      enhancement_term, M_max, eta_min, eta_max, n_eta)
 
 
 def figure_b_sigma(sigma_min=1e-2, sigma_max=1e2, n_sigma=200):

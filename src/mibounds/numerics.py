@@ -12,7 +12,7 @@ Conventions used throughout the package:
   with natural logs and divided by LN2 once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,19 @@ def check_periodic_grid(n_grid):
         raise ValidationError("grid size must be even and at least 2")
 
 
+# the most points the package allocates for one grid or integer support
+# (64 MiB of complex128); a larger request is bad input, refused before
+# anything is allocated
+MAX_POINTS = 2**22
+
+
+def check_points(n_points, what):
+    if n_points > MAX_POINTS:
+        raise DomainError(
+            f"{what} of {n_points} points exceeds the {MAX_POINTS}-point cap"
+        )
+
+
 @dataclass(frozen=True)
 class PeriodicGridFunction:
     """Samples of a period-L function at phi_j = j*L/G, j = 0..G-1."""
@@ -80,33 +93,6 @@ class PeriodicGridFunction:
         phis = np.arange(n_grid) * (period / n_grid)
         return cls(period, np.asarray(fn(phis)))
 
-    def integral(self):
-        """Rectangle-rule integral over one period."""
-        return complex(self.values.sum()) * (self.period / self.n_grid)
-
-
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Finite probability vector: weights >= 0 summing to 1 within 1e-10."""
-
-    weights: np.ndarray
-    labels: tuple = ()
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
-        if w.ndim != 1 or w.size == 0:
-            raise ValidationError("weights must be a non-empty 1-d array")
-        if np.any(w < -NEGATIVE_WEIGHT_TOL):
-            raise ValidationError("negative probability weight")
-        w[w < 0.0] = 0.0
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise NonNormalizedDensityError(
-                f"weights sum to {w.sum():.12g}, expected 1 within 1e-10"
-            )
-        object.__setattr__(self, "weights", w)
-        if self.labels and len(self.labels) != w.size:
-            raise ValidationError("labels length does not match weights")
-
 
 @dataclass(frozen=True)
 class FourierSpectrum:
@@ -135,14 +121,6 @@ class FourierSpectrum:
         object.__setattr__(self, "weights", w)
         if not (0.0 <= self.tail_mass_bound <= 1.0 + 1e-9):
             raise ValidationError("tail_mass_bound outside [0, 1]")
-
-    @property
-    def k_min(self):
-        return int(self.ks.min())
-
-    @property
-    def k_max(self):
-        return int(self.ks.max())
 
     def total_mass(self):
         return float(self.weights.sum())
@@ -211,11 +189,6 @@ def fourier_coefficients(f: PeriodicGridFunction, k_range) -> FourierSpectrum:
     return FourierSpectrum(ks, w, tail_mass_bound=tail, normalized=normalized)
 
 
-def shannon_entropy(p: ProbabilityVector) -> float:
-    """Entropy of a probability vector, in bits."""
-    return entropy_bits_of_weights(p.weights)
-
-
 def differential_entropy(density: PeriodicGridFunction) -> float:
     """-integral p log2 p over one period by the rectangle rule, in bits.
 
@@ -275,11 +248,6 @@ def coefficients_to_density(c, n_grid) -> PeriodicGridFunction:
     return PeriodicGridFunction(1.0, synthesized_density(c, n_grid))
 
 
-# largest explicit integer support (2 k_cut + 1 points) a Gaussian fit
-# allocates; the bracket end b = 10 sigma + 10 reaches it at sigma ~ 2.3e4
-MAX_GAUSS_SUPPORT = 2**22
-
-
 def _gauss_cut(b):
     """Support half-width: terms below 1e-18 of the peak are dropped."""
     return int(np.ceil(b * np.sqrt(2.0 * np.log(1e18)))) + 2
@@ -314,7 +282,7 @@ def discrete_gaussian_fit(sigma2: float):
     Raises
     ------
     DomainError if the bracket end would need an integer support of more
-    than MAX_GAUSS_SUPPORT points; BracketFailureError if the bracket
+    than MAX_POINTS points; BracketFailureError if the bracket
     [max(sigma/10, 1e-6), 10 sigma + 10] does not straddle the target.
     """
     if not (np.isfinite(sigma2) and sigma2 >= 0.0):
@@ -326,11 +294,8 @@ def discrete_gaussian_fit(sigma2: float):
 
     sigma = float(np.sqrt(sigma2))
     lo, hi = max(sigma / 10.0, 1e-6), 10.0 * sigma + 10.0
-    if 2 * _gauss_cut(hi) + 1 > MAX_GAUSS_SUPPORT:
-        raise DomainError(
-            f"sigma2={sigma2:g} needs an integer support of more than "
-            f"{MAX_GAUSS_SUPPORT} points"
-        )
+    # the bracket end b = 10 sigma + 10 reaches the cap at sigma ~ 2.3e4
+    check_points(2 * _gauss_cut(hi) + 1, f"sigma2={sigma2:g}: integer support")
 
     def excess(b):
         s0, s2 = _gauss_sums(b)

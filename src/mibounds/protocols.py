@@ -30,6 +30,7 @@ from .errors import DomainError, GridTooCoarseError, ValidationError
 from .numerics import (
     LN2,
     PeriodicGridFunction,
+    check_points,
     coefficients_to_density,
     entropy_bits_of_weights,
     synthesized_density,
@@ -74,6 +75,18 @@ def covariant_posterior(state: EntangledState, n_grid=None) -> PeriodicGridFunct
     return coefficients_to_density(state.coefficients, n_grid)
 
 
+def _entropy_grid(n_calls, n_grid):
+    """The entropy quadrature grid for N calls: n_grid, by default
+    max(16(N+1), 4096) because the integrand p log p has kinks at the
+    zeros of p; at least 2(N+1) and at most MAX_POINTS."""
+    if n_grid is None:
+        n_grid = max(default_grid(n_calls), 4096)
+    if n_grid < 2 * (n_calls + 1):
+        raise GridTooCoarseError("entropy grid must be at least 2*(N+1)")
+    check_points(n_grid, "entropy grid")
+    return int(n_grid)
+
+
 def _entropy_and_grad(c, n_grid, grad=False):
     """-sum p log2 p / G over the G-point posterior of unit-norm real c,
     and with grad=True its gradient in c. Real c make p even, so rfft(c)_j
@@ -98,15 +111,11 @@ def posterior_entropy(state: EntangledState, n_grid=None) -> float:
 
     Negative for concentrated posteriors; under the uniform prior the
     extracted information is exactly minus this value. The quadrature
-    grid defaults to at least 4096 points because the integrand p log p
-    has kinks at the zeros of p. It is the optimizer's own half-spectrum
+    grid is _entropy_grid's. It is the optimizer's own half-spectrum
     objective: optimize_en_state(N, n_grid=G)[1] is this value on that G.
     """
-    if n_grid is None:
-        n_grid = max(default_grid(state.n_calls), 4096)
-    if n_grid < 2 * (state.n_calls + 1):
-        raise GridTooCoarseError("entropy grid must be at least 2*(N+1)")
-    return _entropy_and_grad(state.coefficients, int(n_grid))
+    return _entropy_and_grad(state.coefficients,
+                             _entropy_grid(state.n_calls, n_grid))
 
 
 def fourier_bound_ceiling(state: EntangledState) -> float:
@@ -305,8 +314,7 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     return stx, fx, dx, sty, fy, dy, stpf, brackt
 
 
-def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
-                      entropy_tol=1e-10):
+def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None):
     """Minimize the posterior entropy over real unit-norm amplitudes.
 
     Runs minimize (L-BFGS) in the ambient coordinates x with
@@ -314,7 +322,7 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
     plus seeded random restarts (each restart draws from its own RNG
     stream keyed by (seed, restart index)), and keeps the best minimum.
     `restarts` counts every start, the uniform one included, and must be
-    at least 1.
+    at least 1. The entropy grid is _entropy_grid's.
 
     Returns (EntangledState, entropy_bits, mi_bits, trace) where
     mi_bits = -entropy_bits is the information extracted under the
@@ -325,11 +333,7 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
         raise ValidationError("n_calls must be nonnegative")
     if int(restarts) < 1:
         raise ValidationError("restarts must be at least 1")
-    if n_grid is None:
-        n_grid = max(default_grid(n_calls), 4096)
-    n_grid = int(n_grid)
-    if n_grid < 2 * n:
-        raise GridTooCoarseError("optimizer grid must be at least 2*(N+1)")
+    n_grid = _entropy_grid(int(n_calls), n_grid)
 
     def value_and_grad(x):
         r = np.linalg.norm(x)
@@ -344,8 +348,8 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None,
 
     best_c, best_val, trace = None, np.inf, []
     for x0 in starts:
-        res = minimize(value_and_grad, x0, ftol=entropy_tol * 1e-2,
-                       gtol=1e-9, maxiter=5000)
+        res = minimize(value_and_grad, x0, ftol=1e-12, gtol=1e-9,
+                       maxiter=5000)
         # res.fun was computed from this same c: it is the entropy of c
         c = res.x / np.linalg.norm(res.x)
         val = res.fun
@@ -447,6 +451,7 @@ def two_seed_experiment(pair: SeedPair, n_grid=256) -> TwoSeedResult:
     c = pair.state.coefficients.astype(complex)
     if n_grid < 8 * c.size:
         raise GridTooCoarseError("two-seed grid must be at least 8*(N+1)")
+    check_points(n_grid, "two-seed grid")
 
     r_single = synthesized_density(c, n_grid)
     r_1 = synthesized_density(np.conj(pair.a) * c, n_grid)
@@ -479,19 +484,18 @@ def two_seed_experiment(pair: SeedPair, n_grid=256) -> TwoSeedResult:
     )
 
 
-def random_seed_pair(n_calls: int, rng, base_state: EntangledState = None) -> SeedPair:
-    """Draw a random real seed pair for a flat-amplitude base state.
+def random_seed_pair(n_calls: int, rng) -> SeedPair:
+    """Draw a random real seed pair for the flat-amplitude state.
 
-    The base state defaults to uniform weights, the reference input for
-    which the all-ones seed is the matched covariant measurement; the
-    merged-versus-single comparison is only meaningful against a matched
-    reference.  Each index splits its unit weight between the two seeds
-    with an independent uniform fraction and independent random signs.
-    An explicit ``base_state`` overrides the default.
+    Uniform weights are the reference input for which the all-ones seed
+    is the matched covariant measurement; the merged-versus-single
+    comparison is only meaningful against a matched reference. Each
+    index splits its unit weight between the two seeds with an
+    independent uniform fraction and independent random signs.
     """
     n = int(n_calls) + 1
-    if base_state is None:
-        base_state = EntangledState.uniform(n_calls)
+    check_points(n, "seed pair")
+    base_state = EntangledState.uniform(n_calls)
     u = rng.uniform(0.0, 1.0, size=n)
     a = np.sqrt(u) * rng.choice([-1.0, 1.0], size=n)
     b = np.sqrt(1.0 - u) * rng.choice([-1.0, 1.0], size=n)

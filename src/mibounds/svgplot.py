@@ -15,6 +15,7 @@ _MARGIN_L = 64.0
 _MARGIN_R = 16.0
 _MARGIN_T = 34.0
 _MARGIN_B = 46.0
+_WIDTH, _HEIGHT = 720, 480
 
 
 def _fmt(x) -> str:
@@ -69,32 +70,32 @@ def _data_range(series, index, log_scale):
 
 
 def render_line_plot(series, title="", x_label="", y_label="",
-                     width=720, height=480, log_x=False, log_y=False) -> str:
-    """Render (label, xs, ys) triples as an SVG document string."""
+                     log_x=False) -> str:
+    """Render (label, xs, ys) triples as a 720 x 480 SVG document string,
+    with a linear y axis."""
     series = [(str(lab), list(xs), list(ys)) for lab, xs, ys in series]
     if not series:
         raise ValueError("at least one series is required")
     x_lo, x_hi = _data_range(series, 0, log_x)
-    y_lo, y_hi = _data_range(series, 1, log_y)
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    y_lo, y_hi = _data_range(series, 1, False)
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(v):
         t = math.log10(v) if log_x else v
         return _MARGIN_L + (t - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(v):
-        t = math.log10(v) if log_y else v
-        return _MARGIN_T + (1.0 - (t - y_lo) / (y_hi - y_lo)) * plot_h
+        return _MARGIN_T + (1.0 - (v - y_lo) / (y_hi - y_lo)) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         out.append(
-            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
+            f'<text x="{_fmt(_WIDTH / 2)}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{title}</text>'
         )
 
@@ -110,9 +111,9 @@ def render_line_plot(series, title="", x_label="", y_label="",
             f'text-anchor="middle" font-family="sans-serif" font-size="11">'
             f"{label}</text>"
         )
-    for t in _tick_values(y_lo, y_hi, log_y):
-        py = _MARGIN_T + (1.0 - (t - y_lo) / (y_hi - y_lo)) * plot_h
-        label = _fmt(10.0 ** t) if log_y else _fmt(t)
+    for t in _tick_values(y_lo, y_hi, False):
+        py = sy(t)
+        label = _fmt(t)
         out.append(
             f'<line x1="{_fmt(_MARGIN_L)}" y1="{_fmt(py)}" '
             f'x2="{_fmt(_MARGIN_L + plot_w)}" y2="{_fmt(py)}" stroke="#dddddd"/>'
@@ -131,7 +132,7 @@ def render_line_plot(series, title="", x_label="", y_label="",
     out.append(frame)
     if x_label:
         out.append(
-            f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(height - 10)}" '
+            f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(_HEIGHT - 10)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
             f"{x_label}</text>"
         )
@@ -150,7 +151,7 @@ def render_line_plot(series, title="", x_label="", y_label="",
             x, y = float(x), float(y)
             if not (math.isfinite(x) and math.isfinite(y)):
                 continue
-            if (log_x and x <= 0.0) or (log_y and y <= 0.0):
+            if log_x and x <= 0.0:
                 continue
             pts.append(f"{_fmt(sx(x))},{_fmt(sy(y))}")
         if pts:

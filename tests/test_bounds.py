@@ -30,7 +30,6 @@ from mibounds.channels import (
     CHANNEL_KINDS,
     NoisyQpeModel,
     chi_closed_form,
-    overlap_function,
     purified_state_family,
 )
 from mibounds.errors import (
@@ -171,10 +170,23 @@ def test_fourier_bound_of_binary_superposition():
     assert abs(d[0] - 0.5) < 1e-12 and abs(d[1] - 0.5) < 1e-12
 
 
-def test_overlap_route_flags_truncated_spectrum():
+def _spectral_route(route, states, k_side):
+    """The overlap route (its window is |k| <= (G - 2) // 4) or the states
+    route (window |k| <= k_side) on (G, dim) states of period 1."""
+    if route == "overlap":
+        return fourier_bound_from_overlap(
+            PeriodicGridFunction(1.0, states @ states[0].conj()))
+    prior = PriorDensity.uniform(1.0, states.shape[0])
+    return fourier_bound_from_states(StateFamily(1.0, states), prior,
+                                     (-k_side, k_side))
+
+
+@pytest.mark.parametrize("route", ["overlap", "states"])
+def test_spectral_routes_flag_truncated_spectrum(route):
     """On 8 points the window |k| <= 1 keeps half of the modes 0..3."""
-    f = overlap_function(NoisyQpeModel("dephasing", 2, 1.0), 8)
-    rep = fourier_bound_from_overlap(f)
+    model = NoisyQpeModel("dephasing", 2, 1.0)
+    rep = _spectral_route(route, purified_state_family(model, np.arange(8) / 8),
+                          1)
     assert abs(rep.tail_mass_bound - 0.5) < 1e-12
     assert abs(rep.bound_bits - 1.0) < 1e-12  # the true value is 2 bits
     assert rep.flags == ("truncated_spectrum",)
@@ -232,11 +244,35 @@ def test_state_family_rejects_nan_sample():
         StateFamily(1.0, states)
 
 
-def test_states_route_rejects_non_finite_spectrum():
+def _overflowing_overlap():
+    """Finite samples, f(0) = 1, whose FFT overflows to a NaN mass: at
+    every odd point 1e308, the sum of two of which is inf."""
+    values = np.full(64, 0.5)
+    values[0] = 1.0
+    values[1::2] = 1e308
+    return PeriodicGridFunction(1.0, values)
+
+
+def _nan_states():
     family = _binary_family(64)
     family.states[5, 1] = np.nan  # the array stays writable after validation
-    with pytest.raises(NumericalFailureError):
-        fourier_bound_from_states(family, PriorDensity.uniform(1.0, 64), (-2, 2))
+    return family
+
+
+NON_FINITE_SPECTRA = {
+    "overlap": lambda: fourier_bound_from_overlap(_overflowing_overlap()),
+    "states": lambda: fourier_bound_from_states(
+        _nan_states(), PriorDensity.uniform(1.0, 64), (-2, 2)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(NON_FINITE_SPECTRA))
+def test_spectral_routes_reject_non_finite_spectrum(route):
+    """A spectrum mass that is not finite raises instead of reporting a
+    bound (the overlap route returned bits null with exit 0)."""
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailureError,
+                                                  match="not finite"):
+        NON_FINITE_SPECTRA[route]()
 
 
 def test_states_route_checks_alias_window():
@@ -388,10 +424,6 @@ def test_nonperiodic_validation():
     prior_fn = lambda x: np.ones_like(x)
     with pytest.raises(ValidationError):
         nonperiodic_fourier_bound(fam, prior_fn, (0.5, 0.5))
-    with pytest.raises(ValidationError):
-        nonperiodic_fourier_bound(
-            fam, prior_fn, (0.0, 1.0), window_factor=1.5
-        )
 
 
 def test_entropic_uncertainty_nonnegative():

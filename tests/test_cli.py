@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from mibounds.channels import (
     chi_numeric,
 )
 from mibounds.cli import main
+from mibounds.numerics import MAX_POINTS
 from mibounds.protocols import EntangledState, posterior_entropy
 
 REPORT_KEYS = {
@@ -684,15 +686,106 @@ def test_bad_paths_and_values_exit_two(capsys, tmp_path, argv):
     """Each of these ended in a traceback with exit 1: missing, directory
     and non-UTF-8 input files, a config value that does not parse, an
     output in a missing directory, an output directory that is a file, and
-    a b_sigma scan asking for a 136 GiB support."""
+    a b_sigma scan asking for a 136 GiB support. A non-UTF-8 input is
+    named in the message."""
     (tmp_path / "dir").mkdir()
     (tmp_path / "binary").write_bytes(b"\xff\xfe\x00phi,re\n\x80\n")
     (tmp_path / "bad_config").write_text("grid = abc\n", encoding="utf-8")
     (tmp_path / "file").write_text("x\n", encoding="utf-8")
+    binary = "@binary" in argv
     argv = [a.replace("@", f"{tmp_path}/") for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and err.startswith("error: ")
+    assert not binary or f"{tmp_path}/binary: not UTF-8 text" in err
     assert (tmp_path / "dir").is_dir() and not list((tmp_path / "dir").iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "all", "--out", "missing/x.csv"],
+    ["optimize", "--N", "7", "--out", "missing/r.json"],
+])
+def test_missing_output_directory_exits_two_before_the_work(
+        capsys, tmp_path, monkeypatch, argv):
+    """check all printed its 21 result lines and optimize ran to the end
+    before the write failed; the output directory is now checked first."""
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before its output was checked")
+
+    monkeypatch.setattr(cli, "run_suite", work)
+    monkeypatch.setattr(cli, "optimize_en_state", work)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "no directory missing" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("emit_csv", ["file", "file/sub"])
+def test_emit_csv_under_a_file_exits_two_before_optimizing(
+        capsys, tmp_path, monkeypatch, emit_csv):
+    """optimize ran to the end before --emit-csv failed on a file; the
+    directory is now made before the optimizer runs."""
+    def work(*args, **kwargs):
+        raise AssertionError("the optimizer ran before --emit-csv was made")
+
+    monkeypatch.setattr(cli, "optimize_en_state", work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("x\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "optimize", "--N", "7",
+                             "--emit-csv", emit_csv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("emit_csv", ["out/", "new/sub"])
+def test_emit_csv_makes_missing_directories(capsys, tmp_path, monkeypatch,
+                                            emit_csv):
+    """--emit-csv DIR makes DIR and its missing parents, as the README's
+    `--emit-csv out/` example needs."""
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, "optimize", "--N", "3", "--restarts", "1",
+                         "--emit-csv", emit_csv)
+    assert code == 0
+    assert (tmp_path / emit_csv / "entropy2_weights.csv").is_file()
+
+
+@contextlib.contextmanager
+def address_space_headroom(n_bytes):
+    """Let this process map at most n_bytes more while the block runs, so
+    an array the grid cap should have refused raises MemoryError instead
+    of taking the machine's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        mapped = int(fh.read().split()[0]) * resource.getpagesize()
+    limit = mapped + n_bytes
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("argv", [
+    ["two-seed", "--trials", "1", "--grid", "1000000000"],
+    ["two-seed", "--trials", "1", "--n-max", "1000000000"],
+    ["bound", "--channel", "dephasing", "--M", "3", "--eta", "0.5",
+     "--method", "fisher", "--grid", "1000000000"],
+    ["optimize", "--N", "3", "--grid", "1000000000"],
+    ["optimize", "--N", "1000000000"],
+    ["figure", "entropy2", "--grid", "1000000000"],
+    ["figure", "entropy2", "--N", "1000000000"],
+])
+def test_grid_over_the_cap_exits_two_before_allocating(capsys, tmp_path,
+                                                       monkeypatch, argv):
+    """These asked numpy for 6 GiB or more and ended in a MemoryError
+    traceback (exit 1); a grid above MAX_POINTS, given or implied by --N
+    or --n-max, is bad input, refused before any grid-sized array exists."""
+    monkeypatch.chdir(tmp_path)
+    with address_space_headroom(1 << 30):
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"exceeds the {MAX_POINTS}-point cap" in err
 
 
 def test_module_entry_point():
@@ -758,6 +851,9 @@ def test_every_command_runs_with_scipy_blocked():
 # Caps keep each run cheap; the table itself declares no maximums.
 FUZZ_CAPS = {"M_max": 3, "n_eta": 4, "n_sigma": 4, "N": 7, "restarts": 2,
              "trials": 3, "n_max": 6, "grid": 96}
+# one value above MAX_POINTS per grid-sizing row (an even grid, so only
+# the cap can refuse it), drawn like the in-range values
+FUZZ_OVER_CAP = {"grid": MAX_POINTS + 2, "N": MAX_POINTS}
 # appended before the drawn flags (the last occurrence of a flag wins), so
 # a run left at its defaults is capped as well
 FUZZ_BASE = {"chi_qpe": ["--M-max=3", "--n-eta=4"],
@@ -780,9 +876,11 @@ def fuzz_value(param):
         return hst.sampled_from(param.cast + ("nosuch",))
     if param.cast is int:  # every int row declares a minimum
         low, cap = param.minimum, FUZZ_CAPS.get(param.name, 64)
+        over = ([str(FUZZ_OVER_CAP[param.name])]
+                if param.name in FUZZ_OVER_CAP else [])
         return hst.one_of(hst.sampled_from([low - 1, low]),
                           hst.integers(low, cap)).map(str) | \
-            hst.sampled_from(["nan", "1.5"])
+            hst.sampled_from(["nan", "1.5", *over])
     if param.cast is float:
         return hst.sampled_from(FUZZ_FLOATS)
     return hst.sampled_from(FUZZ_PATHS)
