@@ -106,8 +106,10 @@ class PriorDensity:
 class StateFamily:
     """Pure states |psi_phi> sampled on a period-L grid, one row per phi.
 
-    A complex128 array is kept without a copy and validated in O(grid)
-    extra memory.
+    A complex128 array is kept without a copy, in its own memory layout,
+    and validated in O(grid) extra memory. Column-major states (one
+    contiguous column per state dimension, as purified_state_family
+    returns) let the spectral route's axis-0 FFT read contiguous memory.
     """
 
     period: float
@@ -236,8 +238,11 @@ def fourier_bound_from_states(
     over the requested index window and returns
     -sum f_k log2 f_k - log2 L + H(phi).
 
-    The FFT runs over column blocks of about 1 MiB, so peak memory is
-    the input array plus one block. Raises NumericalFailureError when the
+    The FFT runs along phi over column blocks of about 1 MiB, so peak
+    memory is the input array plus one block. Each block keeps the
+    family's layout: on a column-major family every transform reads one
+    contiguous column, on a row-major one it reads a strided column.
+    Both give identical weights. Raises NumericalFailureError when the
     spectrum mass is not finite or exceeds 1.
     """
     report = _spectral_report(*_spectrum_from_states(family, prior, k_range),

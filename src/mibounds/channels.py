@@ -140,38 +140,42 @@ def dephasing_qfi(n_qubits: int, eta: float) -> float:
     return float((2.0 * np.pi) ** 2 * (4.0**j * eta ** (2.0**j)).sum())
 
 
-def _factor_states(amplitudes, j: int, phis):
-    """Qubit j's factor a|u> + b e^(i 2 pi 2^j phi)|v> + c|w>: (len(phis), 3).
+def _factor_states(model: NoisyQpeModel, phis):
+    """Each qubit's factor a|u> + b e^(i 2 pi 2^j phi)|v> + c|w>, j = 0..M-1.
 
+    Yields (3, len(phis)) arrays, dimension-major with one column per phi.
     The full purification lives in 4 (erasure: 6) dimensions, but only the
     fixed orthonormal u, v, w ever carry amplitude; the other coordinates
     are zero for every phi, so dropping them changes no <psi_phi|psi_phi'>.
     """
-    a, b, c = amplitudes
-    out = np.empty((phis.size, 3), dtype=complex)
-    out[:, 0] = a
-    out[:, 1] = b * np.exp(1j * 2.0 * np.pi * (2**j) * phis)
-    out[:, 2] = c
-    return out
+    x_fn, a2_fn = _FACTOR_WEIGHTS[model.kind]
+    p = 2.0 ** np.arange(model.n_qubits, dtype=float)
+    b2, a2 = x_fn(model.eta, p), a2_fn(model.eta**p)
+    amplitudes = np.sqrt([a2, b2, np.maximum(0.0, 1.0 - a2 - b2)])  # (3, M)
+    for j, (a, b, c) in enumerate(amplitudes.T):
+        out = np.empty((3, phis.size), dtype=complex)
+        out[0] = a
+        out[1] = b * np.exp(1j * 2.0 * np.pi * (2**j) * phis)
+        out[2] = c
+        yield out
 
 
 def purified_state_family(model: NoisyQpeModel, phis):
     """Explicit tensor-product purified states |psi_phi>, one row per phi.
 
     Each qubit keeps only its 3-dimensional span (_factor_states), so the
-    array is (len(phis), 3^M); the dropped coordinates are zero for every
-    phi and change no overlap, norm or spectrum. Kept to M <= 6; it exists
-    to cross-check the product overlap against honest state vectors.
+    array is (len(phis), 3^M), the last qubit's index running fastest;
+    the dropped coordinates are zero for every phi and change no overlap,
+    norm or spectrum. It is built dimension-major and returned as the
+    transpose, so each state dimension is one contiguous column: the
+    column-block FFT of fourier_bound_from_states then reads contiguous
+    memory. Kept to M <= 6; it exists to cross-check the product overlap
+    against honest state vectors.
     """
     if model.n_qubits > 6:
         raise ValidationError("purified family construction kept to n_qubits <= 6")
     phis = np.asarray(phis, dtype=float)
-    x_fn, a2_fn = _FACTOR_WEIGHTS[model.kind]
-    p = 2.0 ** np.arange(model.n_qubits, dtype=float)
-    b2, a2 = x_fn(model.eta, p), a2_fn(model.eta**p)
-    amplitudes = np.sqrt([a2, b2, np.maximum(0.0, 1.0 - a2 - b2)])  # (3, M)
-    states = np.ones((phis.size, 1), dtype=complex)
-    for j in range(model.n_qubits):
-        factor = _factor_states(amplitudes[:, j], j, phis)
-        states = (states[:, :, None] * factor[:, None, :]).reshape(phis.size, -1)
-    return states
+    states = np.ones((1, phis.size), dtype=complex)
+    for factor in _factor_states(model, phis):
+        states = (states[:, None, :] * factor[None, :, :]).reshape(-1, phis.size)
+    return states.T

@@ -240,7 +240,13 @@ def cmd_figure(args, command):
             raise ValidationError(f"figure {args.name} takes no {_flag(name)}")
     kwargs = {param.name: getattr(args, param.name) for param in args.params
               if param.name in takes and getattr(args, param.name) is not None}
-    _write_datasets(FIGURES[args.name](**kwargs), Path(args.out_dir),
+    out_dir = Path(args.out_dir)
+    # a directory under a file fails before the figure is built; missing
+    # parents are made only after the builder has accepted its inputs
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"--out-dir {out_dir}: {existing} is not a directory")
+    _write_datasets(FIGURES[args.name](**kwargs), out_dir,
                     command, args.seed, args.svg)
     return 0
 

@@ -237,6 +237,13 @@ def _random_states(rng, g, dim):
     return states
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_state_family_keeps_complex128_states_without_a_copy(order):
+    states = np.asarray(_random_states(np.random.default_rng(3), 64, 5),
+                        order=order)
+    assert np.shares_memory(StateFamily(1.0, states).states, states)
+
+
 def test_state_family_rejects_nan_sample():
     states = _binary_family(64).states.copy()
     states[5, 1] = np.nan

@@ -10,11 +10,13 @@ from hypothesis import strategies as hst
 from mibounds.bounds import (
     PriorDensity,
     StateFamily,
+    _spectrum_from_states,
     fourier_bound_from_states,
 )
 from mibounds.channels import (
     CHANNEL_KINDS,
     NoisyQpeModel,
+    _factor_states,
     chi_closed_form,
     chi_numeric,
     dephasing_qfi,
@@ -212,6 +214,46 @@ def test_compact_family_matches_wide_oracle(kind, n_qubits, eta, extra):
         .bound_bits for s in (compact, wide)
     ]
     assert abs(bits[0] - bits[1]) < 1e-12
+
+
+@pytest.mark.parametrize("n_grid", [37, 64])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_purified_family_is_the_per_phi_kron_chain(kind, n_grid):
+    """Row phi is factor_0(phi) x ... x factor_(M-1)(phi), bit for bit, and
+    the array is column-major: one contiguous column per state dimension."""
+    phis = np.arange(n_grid) / n_grid
+    for m in range(1, 5):
+        for eta in (0.0, 0.3, 1.0):
+            model = NoisyQpeModel(kind, m, eta)
+            states = purified_state_family(model, phis)
+            factors = list(_factor_states(model, phis))
+            want = np.empty((n_grid, 3**m), dtype=complex)
+            for i in range(n_grid):
+                row = np.ones(1, dtype=complex)
+                for factor in factors:
+                    row = np.kron(row, factor[:, i])
+                want[i] = row
+            assert states.shape == want.shape and np.array_equal(states, want)
+            assert states.flags.f_contiguous
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_states_spectrum_is_layout_independent(kind):
+    """The column-major family and its row-major copy give identical
+    weights; M = 5 and 6 run at one eta to keep this fast."""
+    prior = PriorDensity.uniform(1.0, 512)
+    for m in range(1, 7):
+        k_side = 2**m + 1
+        for eta in (0.2, 0.9) if m <= 4 else (0.6,):
+            states = purified_state_family(NoisyQpeModel(kind, m, eta),
+                                           prior.grid)
+            ks, weights = _spectrum_from_states(
+                StateFamily(1.0, states), prior, (-k_side, k_side))
+            _, row_major = _spectrum_from_states(
+                StateFamily(1.0, np.ascontiguousarray(states)), prior,
+                (-k_side, k_side))
+            assert ks.size == 2 * k_side + 1
+            assert np.array_equal(weights, row_major)
 
 
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)

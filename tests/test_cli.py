@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file formats."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -523,6 +524,32 @@ def test_figure_entropy2_odd_grid_exits_two(capsys, tmp_path):
     )
     assert code == 2 and "even" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("name,flags", [("entropy2", ["--N", "7"]),
+                                        ("b_sigma", ["--n-sigma", "3"])])
+def test_figure_out_dir_under_a_file_exits_two_before_building(
+        capsys, tmp_path, monkeypatch, name, flags):
+    """--out-dir FILE/sub ran the whole figure before mkdir failed; it is
+    now rejected up front, and nothing is created."""
+    (tmp_path / "file").write_text("x\n", encoding="utf-8")
+    calls = []
+    builder = cli.FIGURES[name]
+
+    @functools.wraps(builder)
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return builder(*args, **kwargs)
+
+    monkeypatch.setitem(cli.FIGURES, name, spy)
+    code, out, err = run_cli(capsys, "figure", name, *flags,
+                             "--out-dir", str(tmp_path / "file" / "sub"))
+    assert code == 2 and out == "" and "is not a directory" in err
+    assert calls == [] and [p.name for p in tmp_path.iterdir()] == ["file"]
+    code, _, _ = run_cli(capsys, "figure", name, *flags,
+                         "--out-dir", str(tmp_path / "new" / "sub"))
+    assert code == 0 and calls == [1]
+    assert (tmp_path / "new" / "sub" / f"{name}.csv").is_file()
 
 
 def test_optimize_odd_grid_with_emit_csv_writes_nothing(capsys, tmp_path):
