@@ -22,7 +22,6 @@ from .channels import (
     CHANNEL_KINDS,
     NoisyQpeModel,
     chi_closed_form,
-    chi_numeric,
     dephasing_qfi,
     overlap_function,
     purified_state_family,

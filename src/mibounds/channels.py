@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import (
-    PeriodicGridFunction,
-    binary_entropy,
-    entropy_bits_of_weights,
-    fourier_modes,
-)
+from .numerics import PeriodicGridFunction, binary_entropy
 
 CHANNEL_KINDS = ("dephasing", "amplitude-damping", "erasure")
 
@@ -106,24 +101,6 @@ def overlap_function(model: NoisyQpeModel, n_grid=None) -> PeriodicGridFunction:
 def chi_closed_form(model: NoisyQpeModel) -> float:
     """Spectrum entropy chi in bits as a sum of per-qubit binary entropies."""
     return float(sum(binary_entropy(float(x)) for x in mode_weight_args(model)))
-
-
-def chi_numeric(model: NoisyQpeModel) -> float:
-    """chi recomputed from the gridded overlap by Fourier projection on
-    2^(M+1) points.
-
-    Kept to M <= 10: the mode count 2^M drives the grid size. Agrees with
-    chi_closed_form to well within 1e-8 there.
-    """
-    if model.n_qubits > 10:
-        raise ValidationError("numeric chi path kept to n_qubits <= 10")
-    k_max = model.n_calls
-    f = overlap_function(model, 2 * (k_max + 1))
-    _, coeffs = fourier_modes(f, (0, k_max))
-    if np.max(np.abs(coeffs.imag)) > 1e-9:
-        raise ValidationError("overlap coefficients are not real")
-    weights = np.clip(coeffs.real, 0.0, None)
-    return entropy_bits_of_weights(weights)
 
 
 def dephasing_qfi(n_qubits: int, eta: float) -> float:

@@ -30,9 +30,5 @@ class NumericalFailureError(ArithmeticError):
     """Computed quantities are inconsistent beyond roundoff tolerances."""
 
 
-class BracketFailureError(ArithmeticError):
-    """Root bracketing failed in a one-dimensional solve."""
-
-
 class NonConvergenceError(ArithmeticError):
     """Iterative refinement did not reach the requested stability."""

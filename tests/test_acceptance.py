@@ -7,7 +7,7 @@ registry on their own, larger domain; each keeps only its time budget,
 its line and its assert, so every invariant and threshold is written once,
 in the registry. Criterion 03 fails by design: the reference curve
 0.5*log2(1+2 pi e s^2) genuinely dips below the max-entropy spectrum
-entropy for sigma under about 0.037, and the scan reports that instead of
+entropy for sigma under about 0.034, and the scan reports that instead of
 hiding it.
 """
 
@@ -56,7 +56,8 @@ def test_criterion_01_noiseless_saturation():
 
 
 def test_criterion_02_closed_form_vs_numeric():
-    """Closed-form and quadrature chi agree across the channel grid, M <= 8."""
+    """Closed-form chi agrees with the overlap route across the channel
+    grid, M <= 8."""
     _criterion(2, "oracle-equivalence", 30.0, checks.closed_form_vs_numeric,
                ms=range(1, 9), etas=np.linspace(0.0, 1.0, 11))
 
@@ -65,7 +66,7 @@ def test_criterion_03_entropy_under_reference_curve():
     """Spectrum entropy vs 0.5*log2(1+2 pi e sigma^2) over 200 sigma values.
 
     Fails honestly: the reference curve undershoots the max-entropy
-    spectrum for sigma below about 0.037 (worst around -5.8e-4 bits near
+    spectrum for sigma below about 0.034 (worst around -5.8e-4 bits near
     sigma = 0.02), so the registry's margin floor cannot hold there.
     """
     _criterion(3, "entropy-vs-reference-curve", 10.0,

@@ -106,6 +106,18 @@ def test_fisher_bound_monotone_in_fisher():
     assert all(b2 > b1 for b1, b2 in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("sigma,flagged", [(0.02, True), (0.05, False)])
+def test_fisher_bound_flags_curve_below_max_entropy_envelope(sigma, flagged):
+    """Below sigma ~ 0.034 the discrete Gaussian with second moment sigma^2
+    carries more entropy than 0.5*log2(1 + 2 pi e sigma^2); the report says
+    so and still returns the curve."""
+    prior = PriorDensity.uniform(1.0, 512)
+    rep = fisher_bound(prior, sigma2=sigma * sigma)
+    curve = 0.5 * np.log2(1.0 + 2.0 * np.pi * np.e * sigma * sigma)
+    assert rep.bound_bits == curve
+    assert rep.flags == (("below_max_entropy_envelope",) if flagged else ())
+
+
 def test_sigma_squared_cosine_model():
     """The two-outcome cos^2 model integrates to sigma^2 = 1/4."""
     prior = PriorDensity.uniform(1.0, 4096)

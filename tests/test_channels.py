@@ -11,6 +11,7 @@ from mibounds.bounds import (
     PriorDensity,
     StateFamily,
     _spectrum_from_states,
+    fourier_bound_from_overlap,
     fourier_bound_from_states,
 )
 from mibounds.channels import (
@@ -18,7 +19,6 @@ from mibounds.channels import (
     NoisyQpeModel,
     _factor_states,
     chi_closed_form,
-    chi_numeric,
     dephasing_qfi,
     mode_weight_args,
     overlap_function,
@@ -96,17 +96,13 @@ def test_chi_monotone_in_eta_and_m():
         assert all(v2 > v1 for v1, v2 in zip(by_m, by_m[1:]))
 
 
-def test_chi_numeric_matches_closed_form():
+def test_overlap_route_matches_closed_form():
     for kind in CHANNEL_KINDS:
         for m in range(1, 7):
             for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
                 model = NoisyQpeModel(kind, m, eta)
-                assert abs(chi_numeric(model) - chi_closed_form(model)) < 1e-10
-
-
-def test_chi_numeric_qubit_cap():
-    with pytest.raises(ValidationError):
-        chi_numeric(NoisyQpeModel("dephasing", 11, 0.5))
+                numeric = fourier_bound_from_overlap(overlap_function(model))
+                assert abs(numeric.bound_bits - chi_closed_form(model)) < 1e-10
 
 
 def test_overlap_function_product_form():

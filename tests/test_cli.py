@@ -22,12 +22,13 @@ from hypothesis import strategies as hst
 
 import mibounds
 from mibounds import cli, protocols
+from mibounds.bounds import fourier_bound_from_overlap
 from mibounds.channels import (
     CHANNEL_KINDS,
     MAX_QUBITS,
     NoisyQpeModel,
     chi_closed_form,
-    chi_numeric,
+    overlap_function,
 )
 from mibounds.cli import main
 from mibounds.numerics import MAX_POINTS
@@ -99,6 +100,22 @@ def test_bound_channel_fisher(capsys):
     assert report["sigma2"] is not None
     assert math.copysign(1.0, report["prior_entropy_bits"]) == 1.0
     assert report["bound_bits"] > 0.0
+    assert report["flags"] == []
+
+
+def test_bound_fisher_flags_curve_below_max_entropy_envelope(capsys):
+    """sigma^2 = 2.5e-4: the curve gives 0.0030735 bits, but an integer
+    spectrum with that second moment can carry 0.0036 bits. The bound is
+    still the curve, and the flag says it is too low to trust."""
+    code, out, _ = run_cli(
+        capsys, "bound", "--channel", "dephasing", "--M", "1", "--eta", "1e-3",
+        "--method", "fisher",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["sigma2"] == 2.5e-4
+    assert report["bound_bits"] == 0.0030735009926575684
+    assert report["flags"] == ["below_max_entropy_envelope"]
 
 
 def test_bound_fisher_needs_dephasing(capsys):
@@ -161,7 +178,8 @@ def test_bound_channel_fourier_is_the_closed_form(inputs):
     assert abs(report["bound_bits"] - want) <= 1e-12
     assert report["tail_mass_bound"] == 0.0 and report["flags"] == []
     if m <= 10:
-        assert abs(want - chi_numeric(NoisyQpeModel(kind, m, eta))) <= 1e-10
+        overlap = overlap_function(NoisyQpeModel(kind, m, eta))
+        assert abs(want - fourier_bound_from_overlap(overlap).bound_bits) <= 1e-10
 
 
 @pytest.mark.parametrize("m,grid", [(10, 6), (2, 4)])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from mibounds.errors import (
     DomainError,
@@ -174,10 +176,89 @@ def test_discrete_gaussian_fit_refuses_support_over_cap():
     input, raised before any array is built."""
     with pytest.raises(DomainError, match="integer support"):
         discrete_gaussian_fit(1e16)
-    sigma = (MAX_POINTS / 2 / np.sqrt(2 * np.log(1e18)) - 12) / 10
-    with pytest.raises(DomainError):
+    # the support |k| <= 10 sigma + 12 reaches MAX_POINTS points here
+    sigma = ((MAX_POINTS - 1) / 2 - 12) / 10
+    with pytest.raises(DomainError, match="integer support"):
         discrete_gaussian_fit((1.01 * sigma) ** 2)
-    assert 2.2e4 < sigma < 2.4e4
+    assert 2.0e5 < sigma < 2.2e5
+
+
+def bisection_fit(sigma2):
+    """The earlier solver, kept as the oracle: bisection on b = 1/sqrt(2 lam)
+    over the bracket [max(sigma/10, 1e-6), 10 sigma + 10], with the support
+    cut where terms fall below 1e-18 of the peak. Returns (b, entropy)."""
+    def cut(b):
+        return int(np.ceil(b * np.sqrt(2.0 * np.log(1e18)))) + 2
+
+    def sums(b):
+        k = np.arange(-cut(b), cut(b) + 1, dtype=float)
+        w = np.exp(-(k * k) / (2.0 * b * b))
+        return w, float(w.sum()), float((k * k * w).sum())
+
+    def excess(b):
+        _, s0, s2 = sums(b)
+        return s2 / s0 - sigma2
+
+    sigma = float(np.sqrt(sigma2))
+    lo, hi = max(sigma / 10.0, 1e-6), 10.0 * sigma + 10.0
+    assert excess(lo) < 0.0 < excess(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    b = 0.5 * (lo + hi)
+    w, s0, _ = sums(b)
+    return b, entropy_bits_of_weights(w / s0)
+
+
+def test_discrete_gaussian_fit_matches_bisection():
+    """Newton on the dual against the bisection, from the smallest
+    subnormal sigma^2 to the bisection's own support cap (sigma ~ 2.3e4)."""
+    sigma2s = np.logspace(np.log10(5e-324), np.log10(5.3e8), 48)
+    sigma2s[0] = 5e-324
+    for sigma2 in sigma2s:
+        b, _, spectrum = discrete_gaussian_fit(sigma2)
+        b_ref, h_ref = bisection_fit(sigma2)
+        assert abs(spectrum.entropy_bits() - h_ref) <= 1e-13
+        assert abs(b / b_ref - 1.0) <= 1e-12
+
+
+# largest log10(sigma^2) whose support |k| <= 10 sigma + 12 fits the cap
+_LOG_SIGMA2_MAX = 2.0 * np.log10(((MAX_POINTS - 1) / 2 - 12) / 10)
+
+
+@settings(max_examples=60, deadline=None)
+@example(log_s2=np.log10(5e-324), log_step=0.01, seed=0)
+@example(log_s2=_LOG_SIGMA2_MAX - 1.0, log_step=1.0, seed=0)
+@given(log_s2=hst.floats(np.log10(5e-324), _LOG_SIGMA2_MAX - 1.0),
+       log_step=hst.floats(0.01, 1.0),
+       seed=hst.integers(0, 2**32 - 1))
+def test_discrete_gaussian_is_the_max_entropy_spectrum(log_s2, log_step, seed):
+    """Over the accepted sigma^2 domain: both constraints hold, H* grows
+    with sigma^2, and no random spectrum on |k| <= 8 with the same second
+    moment carries more entropy."""
+    sigma2 = 10.0 ** log_s2
+    _, _, spectrum = discrete_gaussian_fit(sigma2)
+    h_star = spectrum.entropy_bits()
+    assert abs(spectrum.total_mass() - 1.0) <= 1e-10
+    assert abs(spectrum.second_moment() - sigma2) <= 1e-10 * max(sigma2, 1e-30)
+    assert h_star <= discrete_gaussian_fit(10.0 ** (log_s2 + log_step))[2].entropy_bits()
+    if sigma2 <= 64.0:
+        # mix a random spectrum with the point mass at 0 (moment 0) or at
+        # +-8 (moment 64) so that its second moment is sigma^2
+        ks = np.arange(-8, 9)
+        w = np.random.default_rng(seed).random(ks.size)
+        w /= w.sum()
+        m0 = float((ks * ks * w).sum())
+        edge = np.where(np.abs(ks) == 8 if m0 < sigma2 else ks == 0, 1.0, 0.0)
+        edge /= edge.sum()
+        edge_moment = float((ks * ks * edge).sum())
+        t = (edge_moment - sigma2) / (edge_moment - m0)
+        assert h_star * (1.0 + 1e-12) >= entropy_bits_of_weights(t * w + (1.0 - t) * edge)
 
 
 def test_discrete_gaussian_fit_constraints():
@@ -210,7 +291,7 @@ def test_entropy_vs_reference_curve_margins():
 
     The max-entropy spectrum at fixed second moment sigma^2 has entropy
     slightly above 0.5*log2(1 + 2 pi e sigma^2) once sigma drops under
-    roughly 0.037; the rows report the crossover rather than hide it.
+    about 0.034; the rows report the crossover rather than hide it.
     """
     rows = gaussian_entropy_vs_bound([0.01, 0.02, 0.05, 0.1, 1.0, 10.0])
     margins = {r[0]: r[3] for r in rows}
