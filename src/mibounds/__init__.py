@@ -32,7 +32,6 @@ from .numerics import (
     binary_entropy,
     differential_entropy,
     discrete_gaussian_fit,
-    fourier_coefficients,
     fourier_modes,
     gaussian_entropy_vs_bound,
 )

@@ -44,7 +44,7 @@ from .numerics import (
     PeriodicGridFunction,
     discrete_gaussian_fit,
     entropy_bits_of_weights,
-    fourier_coefficients,
+    fourier_modes,
     gaussian_entropy_vs_bound,
 )
 from .protocols import (
@@ -90,8 +90,9 @@ def trig_poly_exact():
         lambda p: sum(c * np.exp(2j * np.pi * k * p) for k, c in coeffs.items()),
         1.0, 256,
     )
-    weights = fourier_coefficients(grid, (-8, 8)).as_dict()
-    err = max(abs(weights.get(k, 0.0) - c * c) for k, c in coeffs.items())
+    ks, modes = fourier_modes(grid, (-8, 8))
+    weights = dict(zip(ks.tolist(), np.abs(modes) ** 2))
+    err = max(abs(weights[k] - c * c) for k, c in coeffs.items())
     return err < 1e-12, f"max weight error {err:.3e}"
 
 
@@ -107,9 +108,9 @@ def parseval_tail(rng):
     masses = []
     tails = []
     for k_hi in (8, 12, 16):
-        s = fourier_coefficients(f, (-2, k_hi))
-        masses.append(s.total_mass())
-        tails.append(s.tail_mass_bound)
+        mass = float((np.abs(fourier_modes(f, (-2, k_hi))[1]) ** 2).sum())
+        masses.append(mass)
+        tails.append(max(0.0, 1.0 - mass))
     ok = abs(masses[-1] - 1.0) < 1e-8 and all(
         t2 <= t1 + 1e-12 for t1, t2 in zip(tails, tails[1:])
     )

@@ -48,13 +48,8 @@ from .channels import (
 )
 from .checks import SUITES, run_suite
 from .errors import ValidationError
-from .figures import FIGURES, entropy2_datasets
-from .numerics import (
-    PeriodicGridFunction,
-    _check_alias_window,
-    check_periodic_grid,
-    check_points,
-)
+from .figures import FIGURES
+from .numerics import PeriodicGridFunction
 from .protocols import (
     EntangledState,
     fourier_bound_ceiling,
@@ -169,9 +164,20 @@ def _uniform_grid_period(phis, path):
 
 
 def cmd_bound(args, command):
-    sources = [s for s in (args.channel, args.model, args.overlap) if s]
+    sources = [name for name in ("channel", "model", "overlap")
+               if getattr(args, name)]
     if len(sources) != 1:
         raise ValidationError("pass exactly one of --channel/--model/--overlap")
+    if not args.channel:
+        # a file takes neither channel parameter, and its kind fixes the
+        # method: both fail before the file is read
+        for name in ("M", "eta"):
+            if name in args.flags:
+                raise ValidationError(f"--{sources[0]} takes no {_flag(name)}")
+        if args.overlap and args.method != "fourier":
+            raise ValidationError("an overlap file implies --method fourier")
+        if args.model and args.method != "fisher":
+            raise ValidationError("a conditional model implies --method fisher")
 
     if args.channel:
         if args.M is None or args.eta is None:
@@ -179,10 +185,7 @@ def cmd_bound(args, command):
         model = NoisyQpeModel(args.channel, args.M, args.eta)
         if args.method == "fourier":
             # the spectrum is a product of per-qubit binaries on k = 0..2^M - 1,
-            # so its entropy is a sum of binary entropies; no grid is needed,
-            # and an explicit one must still resolve those modes
-            if args.grid is not None:
-                _check_alias_window(args.grid, 0, model.n_calls)
+            # so its entropy is a sum of binary entropies; no grid is needed
             report = BoundReport(
                 method="fourier", bound_bits=chi_closed_form(model),
                 prior_entropy_bits=0.0, tail_mass_bound=0.0,
@@ -193,34 +196,29 @@ def cmd_bound(args, command):
                     "the Fisher route needs the channel Fisher information, "
                     "available for dephasing only"
                 )
-            n_grid = args.grid or 4096
-            check_points(n_grid, "prior grid")
-            prior = PriorDensity.uniform(1.0, n_grid)
+            # the uniform prior's term and entropy are 0 on any grid
             report = fisher_bound(
-                prior, fisher_avg=dephasing_qfi(args.M, args.eta)
+                PriorDensity.uniform(), fisher_avg=dephasing_qfi(args.M, args.eta)
             )
     elif args.overlap:
-        names, data = _read_table(args.overlap)
+        _, data = _read_table(args.overlap)
         if data.shape[1] < 2:
             raise ValidationError("overlap file needs phi and re[,im] columns")
         period = _uniform_grid_period(data[:, 0], args.overlap)
         vals = data[:, 1] + (1j * data[:, 2] if data.shape[1] > 2 else 0.0)
         f = PeriodicGridFunction(period, vals.astype(complex))
-        if args.method != "fourier":
-            raise ValidationError("an overlap file implies --method fourier")
         report = fourier_bound_from_overlap(f)
     else:
-        names, data = _read_table(args.model)
+        _, data = _read_table(args.model)
         if data.shape[1] < 2:
             raise ValidationError("model file needs phi plus outcome columns")
         period = _uniform_grid_period(data[:, 0], args.model)
         prior = PriorDensity.uniform(period, data.shape[0])
         est = EstimationModel(prior, data[:, 1:])
-        if args.method != "fisher":
-            raise ValidationError("a conditional model implies --method fisher")
         report = fisher_bound(prior, model=est)
 
-    _emit(report.to_json_dict(), command, args.seed, args.out)
+    # bound draws no random numbers; the report keeps its seed field
+    _emit(report.to_json_dict(), command, None, args.out)
     return 3 if "divergent" in report.flags else 0
 
 
@@ -240,24 +238,23 @@ def cmd_figure(args, command):
             raise ValidationError(f"figure {args.name} takes no {_flag(name)}")
     kwargs = {param.name: getattr(args, param.name) for param in args.params
               if param.name in takes and getattr(args, param.name) is not None}
+    # the CSVs record the seed the builder ran with, its default included
+    seed = args.seed
+    if seed is None and "seed" in takes:
+        seed = takes["seed"].default
     out_dir = Path(args.out_dir)
     # a directory under a file fails before the figure is built; missing
     # parents are made only after the builder has accepted its inputs
     existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
     if not existing.is_dir():
         raise ValidationError(f"--out-dir {out_dir}: {existing} is not a directory")
-    _write_datasets(FIGURES[args.name](**kwargs), out_dir,
-                    command, args.seed, args.svg)
-    return 0
-
-
-def _write_datasets(datasets, out_dir, command, seed, svg):
+    datasets = FIGURES[args.name](**kwargs)
     out_dir.mkdir(parents=True, exist_ok=True)
     for data in datasets:
         csv_path = out_dir / f"{data.name}.csv"
         _write_csv(csv_path, command, seed, data.columns, data.rows)
         print(csv_path)
-        if svg:
+        if args.svg:
             svg_path = out_dir / f"{data.name}.svg"
             svg_path.write_text(
                 render_line_plot(
@@ -267,6 +264,7 @@ def _write_datasets(datasets, out_dir, command, seed, svg):
                 encoding="utf-8", newline="\n",
             )
             print(svg_path)
+    return 0
 
 
 def cmd_check(args, command):
@@ -288,14 +286,9 @@ def cmd_check(args, command):
 def cmd_optimize(args, command):
     if args.N is None:
         raise ValidationError("--N is required")
-    if args.emit_csv:  # the plot's grid and directory fail before optimizing
-        if args.grid is not None:
-            check_periodic_grid(args.grid)
-        Path(args.emit_csv).mkdir(parents=True, exist_ok=True)
     state, entropy_bits, mi_bits, trace = optimize_en_state(
         args.N, restarts=args.restarts, seed=args.seed, n_grid=args.grid
     )
-    datasets = entropy2_datasets(state, args.grid) if args.emit_csv else ()
     payload = {
         "n_calls": args.N,
         "entropy_bits": entropy_bits,
@@ -308,8 +301,6 @@ def cmd_optimize(args, command):
         "coefficients": [float(c) for c in state.coefficients],
     }
     _emit(payload, command, args.seed, args.out)
-    if args.emit_csv:
-        _write_datasets(datasets, Path(args.emit_csv), command, args.seed, svg=False)
     return 0
 
 
@@ -354,10 +345,7 @@ COMMANDS = {
         Param("method", ("fourier", "fisher"), "fourier"),
         Param("model", str, help="CSV of phi plus conditional outcome columns"),
         Param("overlap", str, help="CSV of phi, re[, im] overlap samples"),
-        Param("prior", ("uniform",), "uniform"),
-        Param("grid", int, None, 1, "quadrature grid override"),
         Param("out", str, help="write the JSON report here"),
-        Param("seed", int, None, 0),
     )),
     "figure": (cmd_figure, "emit a dataset as CSV (and SVG)",
                Param("name", str, help=" | ".join(FIGURES)), (
@@ -388,8 +376,6 @@ COMMANDS = {
         Param("grid", int, None, 1),
         Param("seed", int, 0, 0),
         Param("out", str, help="write the JSON report here"),
-        Param("emit_csv", str,
-              help="directory for the posterior/weights datasets"),
     )),
     "two-seed": (cmd_two_seed, "run seeded two-measurement trials", None, (
         Param("trials", int, 100, 1),

@@ -92,21 +92,16 @@ def figure_b_sigma(sigma_min=1e-2, sigma_max=1e2, n_sigma=200):
 
 def figure_entropy2(N=255, restarts=8, seed=7, grid=None):
     """Posterior densities and weight profiles, uniform vs. optimized state,
-    for N calls; grid (None: each default) is the optimizer's grid and the
-    plot's."""
+    for N calls; grid is the optimizer's grid and the plot's (None: each
+    one's default, 16*(N+1) for the plot)."""
     if grid is not None:
         check_periodic_grid(grid)  # the plot needs it: fail before optimizing
-    optimal = optimize_en_state(int(N), restarts=int(restarts),
+    n_calls = int(N)
+    optimal = optimize_en_state(n_calls, restarts=int(restarts),
                                 seed=int(seed), n_grid=grid)[0]
-    return entropy2_datasets(optimal, grid)
-
-
-def entropy2_datasets(optimal: EntangledState, n_grid=None):
-    """entropy2's datasets for a given state, on n_grid points (16*(N+1))."""
-    n_calls = optimal.n_calls
     uniform = EntangledState.uniform(n_calls)
-    post_u = covariant_posterior(uniform, n_grid)
-    post_o = covariant_posterior(optimal, n_grid)
+    post_u = covariant_posterior(uniform, grid)
+    post_o = covariant_posterior(optimal, grid)
     thetas = post_u.grid
     rows = tuple(
         (float(t), float(pu), float(po))

@@ -107,7 +107,6 @@ class FourierSpectrum:
     ks: np.ndarray
     weights: np.ndarray
     tail_mass_bound: float = 0.0
-    normalized: bool = True
 
     def __post_init__(self):
         ks = np.asarray(self.ks, dtype=int)
@@ -171,22 +170,6 @@ def fourier_modes(f: PeriodicGridFunction, k_range):
     ks = np.arange(k_min, k_max + 1)
     dft = np.fft.fft(f.values) / g  # index m holds c_m for 0 <= m < G
     return ks, dft[np.mod(ks, g)]
-
-
-def fourier_coefficients(f: PeriodicGridFunction, k_range) -> FourierSpectrum:
-    """Squared-magnitude Fourier weights |c_k|^2 of a grid function.
-
-    Treats f as a scalar state family under the uniform prior, so the
-    weight at index k is |(1/L) integral f e^(-i 2 pi k phi / L) dphi|^2.
-    The weights sum to the mean square (1/L) integral |f|^2 dphi; only
-    when that mass is 1 does tail_mass_bound report 1 - sum(weights).
-    """
-    ks, coeffs = fourier_modes(f, k_range)
-    w = np.abs(coeffs) ** 2
-    parseval_mass = float(np.mean(np.abs(f.values) ** 2))
-    normalized = abs(parseval_mass - 1.0) <= 1e-8
-    tail = max(0.0, 1.0 - float(w.sum())) if normalized else 0.0
-    return FourierSpectrum(ks, w, tail_mass_bound=tail, normalized=normalized)
 
 
 def differential_entropy(density: PeriodicGridFunction) -> float:

@@ -140,6 +140,77 @@ def test_bound_requires_exactly_one_source(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("source", [["--overlap", "@overlap"],
+                                    ["--model", "@model", "--method", "fisher"]])
+@pytest.mark.parametrize("flag", ["--M", "--eta"])
+def test_bound_file_source_rejects_channel_parameters(capsys, tmp_path,
+                                                      source, flag):
+    """--M and --eta were ignored with exit 0 when a file was the source;
+    from a config file, which may serve every source, they still are."""
+    write_cosine_model(tmp_path / "model", 64)
+    phis = np.arange(64) / 64
+    (tmp_path / "overlap").write_text("phi,re\n" + "".join(
+        f"{float(p)!r},1.0\n" for p in phis), encoding="utf-8")
+    argv = ["bound", *[a.replace("@", f"{tmp_path}/") for a in source]]
+    code, out, err = run_cli(capsys, *argv, flag, "1")
+    assert code == 2 and out == ""
+    assert err == f"error: {source[0]} takes no {flag}\n"
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text("M = 3\neta = 0.5\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0, err
+    assert json.loads(out)["method"] == ("fourier" if "--overlap" in source
+                                         else "fisher")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--overlap", "@missing", "--method", "fisher"],
+     "an overlap file implies --method fourier"),
+    (["--model", "@missing"], "a conditional model implies --method fisher"),
+])
+def test_bound_method_is_checked_before_the_file_is_read(
+        capsys, tmp_path, monkeypatch, argv, message):
+    def read(*args, **kwargs):
+        raise AssertionError("the file was read before --method was checked")
+
+    monkeypatch.setattr(cli, "_read_table", read)
+    argv = [a.replace("@", f"{tmp_path}/") for a in argv]
+    code, out, err = run_cli(capsys, "bound", *argv)
+    assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--channel", "dephasing", "--M", "2", "--eta", "1",
+     "--grid", "8"],
+    ["bound", "--channel", "dephasing", "--M", "2", "--eta", "1",
+     "--seed", "1"],
+    ["bound", "--channel", "dephasing", "--M", "2", "--eta", "1",
+     "--prior", "uniform"],
+    ["optimize", "--N", "3", "--emit-csv", "d"],
+])
+def test_removed_options_exit_two_at_argparse(capsys, tmp_path, monkeypatch,
+                                              argv):
+    """bound --grid/--seed/--prior changed no report, and optimize
+    --emit-csv repeated figure entropy2."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in captured.err
+    assert "Traceback" not in captured.err and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["grid", "seed", "prior"])
+def test_bound_config_with_a_removed_key_exits_two(capsys, tmp_path, key):
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text(f"channel = dephasing\nM = 2\neta = 1\n{key} = 8\n",
+                   encoding="utf-8")
+    code, out, err = run_cli(capsys, "bound", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: unknown config keys: {key}\n"
+
+
 def test_bound_rejects_bad_channel_parameters(capsys):
     code, _, err = run_cli(
         capsys, "bound", "--channel", "dephasing", "--M", "99", "--eta", "0.5"
@@ -151,27 +222,14 @@ def test_bound_rejects_bad_channel_parameters(capsys):
     assert code == 2
 
 
-@hst.composite
-def channel_bound_inputs(draw):
-    m = draw(hst.integers(1, MAX_QUBITS))
-    grid = draw(hst.one_of(hst.none(), hst.integers(1, 2 ** (m + 2))))
-    return (draw(hst.sampled_from(CHANNEL_KINDS)), m,
-            draw(hst.floats(0.0, 1.0)), grid)
-
-
 @settings(max_examples=150, deadline=None)
-@given(inputs=channel_bound_inputs())
-def test_bound_channel_fourier_is_the_closed_form(inputs):
-    """Every M up to MAX_QUBITS gets sum_j h(x_j); a grid that cannot
-    resolve k = 0..2^M - 1 exits 2 instead of returning a low bound."""
-    kind, m, eta, grid = inputs
-    argv = ["bound", "--channel", kind, "--M", str(m), "--eta", repr(eta)]
-    if grid is not None:
-        argv += ["--grid", str(grid)]
-    code, out, err = run_quiet(*argv)
-    if grid is not None and grid < 2 ** (m + 1):
-        assert code == 2 and "cannot resolve" in err and out == ""
-        return
+@given(kind=hst.sampled_from(CHANNEL_KINDS), m=hst.integers(1, MAX_QUBITS),
+       eta=hst.floats(0.0, 1.0))
+def test_bound_channel_fourier_is_the_closed_form(kind, m, eta):
+    """Every M up to MAX_QUBITS gets sum_j h(x_j), with no grid to alias
+    the spectrum into a low bound."""
+    code, out, err = run_quiet("bound", "--channel", kind, "--M", str(m),
+                               "--eta", repr(eta))
     assert code == 0, err
     report = json.loads(out)
     want = chi_closed_form(NoisyQpeModel(kind, m, eta))
@@ -180,30 +238,6 @@ def test_bound_channel_fourier_is_the_closed_form(inputs):
     if m <= 10:
         overlap = overlap_function(NoisyQpeModel(kind, m, eta))
         assert abs(want - fourier_bound_from_overlap(overlap).bound_bits) <= 1e-10
-
-
-@pytest.mark.parametrize("m,grid", [(10, 6), (2, 4)])
-def test_bound_channel_rejects_aliasing_grid(capsys, m, grid):
-    """These grids used to alias the spectrum into a low bound with exit 0
-    (1.29 of 10 bits, 0.5 of 2 bits)."""
-    code, out, err = run_cli(
-        capsys, "bound", "--channel", "dephasing", "--M", str(m), "--eta", "1",
-        "--grid", str(grid),
-    )
-    assert code == 2 and "cannot resolve" in err
-    assert out == ""
-
-
-def test_bound_channel_grid_at_window_gives_full_bound(capsys):
-    """A grid of 2^(M+1) resolves every mode; it used to return 1 of 2 bits."""
-    code, out, _ = run_cli(
-        capsys, "bound", "--channel", "dephasing", "--M", "2", "--eta", "1",
-        "--grid", "8",
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert abs(report["bound_bits"] - 2.0) < 1e-12
-    assert report["flags"] == [] and report["tail_mass_bound"] == 0.0
 
 
 def test_bound_channel_thirty_qubits_in_bounded_memory():
@@ -228,19 +262,21 @@ def test_bound_channel_thirty_qubits_in_bounded_memory():
 
 def test_parser_is_built_once_and_leaks_no_state(capsys, tmp_path):
     assert cli.build_parser() is cli.build_parser()
-    code, out, _ = run_cli(
-        capsys, "bound", "--channel", "dephasing", "--M", "12", "--eta", "1",
-        "--grid", "8192", "--seed", "5",
-    )
+    trial = ("two-seed", "--trials", "1", "--n-min", "3", "--n-max", "3")
+    code, out, _ = run_cli(capsys, *trial, "--grid", "32", "--seed", "5")
     assert code == 0 and json.loads(out)["seed"] == 5
-    # a leaked --grid 8192 would be too coarse for M = 13 and exit 2
-    code, out, err = run_cli(
-        capsys, "bound", "--channel", "dephasing", "--M", "13", "--eta", "1"
-    )
+    # a leaked --grid 32 or --seed 5 would change this run's trial
+    code, out, err = run_cli(capsys, *trial)
     assert code == 0, err
-    report = json.loads(out)
-    assert report["seed"] is None
-    assert abs(report["bound_bits"] - 13.0) < 1e-12
+    code, want, _ = run_cli(capsys, *trial, "--grid", "256", "--seed", "0")
+    assert code == 0
+
+    def payload(text):
+        report = json.loads(text)
+        del report["command"], report["timestamp"]
+        return report
+
+    assert payload(out) == payload(want)
     code, _, _ = run_cli(
         capsys, "figure", "chi_qpe", "--M-max", "1", "--n-eta", "2",
         "--out-dir", str(tmp_path),
@@ -273,17 +309,6 @@ def test_nonpositive_restarts_exit_two(capsys, tmp_path, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and "restarts" in err
     assert out == "" and not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("grid", ["0", "-4"])
-@pytest.mark.parametrize("method", ["fourier", "fisher"])
-def test_bound_rejects_nonpositive_grid(capsys, grid, method):
-    code, out, err = run_cli(
-        capsys, "bound", "--channel", "dephasing", "--M", "2", "--eta", "1",
-        "--method", method, "--grid", grid,
-    )
-    assert code == 2 and "--grid" in err
-    assert out == ""
 
 
 def test_bound_model_csv(capsys, tmp_path):
@@ -491,8 +516,10 @@ def test_optimize_json(capsys):
     assert abs(sum(c * c for c in report["coefficients"]) - 1.0) < 1e-9
 
 
-def test_optimize_emit_csv(capsys, tmp_path, monkeypatch):
-    """--emit-csv plots the state it reports and optimizes only once."""
+def test_figure_entropy2_grid_is_the_optimizer_grid(capsys, tmp_path,
+                                                    monkeypatch):
+    """figure entropy2 --grid G optimizes on G as optimize --grid G does,
+    once per start, and writes the squared coefficients optimize reports."""
     calls = []
     original = protocols.minimize
 
@@ -501,37 +528,37 @@ def test_optimize_emit_csv(capsys, tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(protocols, "minimize", counting)
+    common = ("--N", "3", "--grid", "8", "--restarts", "2", "--seed", "0")
+    code, _, _ = run_cli(capsys, "figure", "entropy2", *common,
+                         "--out-dir", str(tmp_path))
+    assert code == 0 and len(calls) == 2
     report_path = tmp_path / "report.json"
-    code, _, _ = run_cli(
-        capsys, "optimize", "--N", "3", "--grid", "8", "--restarts", "2",
-        "--out", str(report_path), "--emit-csv", str(tmp_path),
-    )
-    assert code == 0
-    assert len(calls) == 2
-    report = json.loads(report_path.read_text())
+    code, _, _ = run_cli(capsys, "optimize", *common, "--out", str(report_path))
+    assert code == 0 and len(calls) == 4
+    report = json.loads(report_path.read_text(encoding="utf-8"))
     weights = cli._read_table(tmp_path / "entropy2_weights.csv")[1][:, 2]
     want = np.array(report["coefficients"]) ** 2
     assert np.max(np.abs(weights - want)) <= 1e-15
+    assert abs(weights[0] - 0.1777706) < 1e-6
     assert cli._read_table(tmp_path / "entropy2.csv")[1].shape == (8, 3)
 
 
-def test_figure_entropy2_grid_is_the_optimizer_grid(capsys, tmp_path):
-    """figure entropy2 --grid G optimizes on G, as optimize --grid G does."""
-    common = ("--N", "3", "--grid", "8", "--restarts", "2", "--seed", "0")
-    code, _, _ = run_cli(capsys, "figure", "entropy2", *common,
-                         "--out-dir", str(tmp_path / "figure"))
-    assert code == 0
-    code, _, _ = run_cli(capsys, "optimize", *common,
-                         "--emit-csv", str(tmp_path / "optimize"))
-    assert code == 0
-    rows = [
-        [line for line in (tmp_path / d / "entropy2_weights.csv")
-         .read_text(encoding="utf-8").splitlines()
-         if not line.startswith("#")]
-        for d in ("figure", "optimize")
-    ]
-    assert rows[0] == rows[1] and len(rows[0]) == 1 + 4
-    assert abs(float(rows[0][1].split(",")[2]) - 0.1777706) < 1e-6
+def test_figure_entropy2_records_the_seed_it_ran_with(capsys, tmp_path):
+    """Without --seed the CSVs said `# seed: none`, yet held the rows of
+    the builder's default seed 7."""
+    for name, seed in (("default", ()), ("seven", ("--seed", "7")),
+                       ("zero", ("--seed", "0"))):
+        code, _, _ = run_cli(capsys, "figure", "entropy2", "--N", "7", *seed,
+                             "--out-dir", str(tmp_path / name))
+        assert code == 0
+    for dataset in ("entropy2", "entropy2_weights"):
+        default, seven, zero = (
+            (tmp_path / name / f"{dataset}.csv").read_text(
+                encoding="utf-8").splitlines()
+            for name in ("default", "seven", "zero"))
+        assert default[1] == seven[1] == "# seed: 7" and zero[1] == "# seed: 0"
+        assert default[3:] == seven[3:]
+    assert zero[3:] != seven[3:]
 
 
 def test_figure_entropy2_odd_grid_exits_two(capsys, tmp_path):
@@ -570,22 +597,10 @@ def test_figure_out_dir_under_a_file_exits_two_before_building(
     assert (tmp_path / "new" / "sub" / f"{name}.csv").is_file()
 
 
-def test_optimize_odd_grid_with_emit_csv_writes_nothing(capsys, tmp_path):
-    """The posterior plot needs an even grid; it is checked before any write."""
-    report_path = tmp_path / "report.json"
-    csv_dir = tmp_path / "csv"
-    code, _, err = run_cli(
-        capsys, "optimize", "--N", "3", "--grid", "9", "--restarts", "1",
-        "--out", str(report_path), "--emit-csv", str(csv_dir),
-    )
-    assert code == 2 and "even" in err
-    assert not report_path.exists() and not csv_dir.exists()
-
-
 def test_odd_plot_grid_is_rejected_before_optimizing(capsys, tmp_path,
                                                     monkeypatch):
     """An odd --grid that must be plotted exits 2 without one optimizer
-    call; optimize without --emit-csv still runs on it."""
+    call; optimize, which plots nothing, still runs on it."""
     calls = []
     original = protocols.minimize
 
@@ -594,12 +609,10 @@ def test_odd_plot_grid_is_rejected_before_optimizing(capsys, tmp_path,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(protocols, "minimize", counting)
-    for argv in (["figure", "entropy2", "--out-dir", str(tmp_path / "fig")],
-                 ["optimize", "--emit-csv", str(tmp_path / "csv"),
-                  "--out", str(tmp_path / "report.json")]):
-        code, _, err = run_cli(capsys, *argv, "--N", "3", "--grid", "9",
-                               "--restarts", "2")
-        assert code == 2 and "even" in err
+    code, _, err = run_cli(capsys, "figure", "entropy2", "--N", "3",
+                           "--grid", "9", "--restarts", "2",
+                           "--out-dir", str(tmp_path / "fig"))
+    assert code == 2 and "even" in err
     assert calls == [] and list(tmp_path.iterdir()) == []
     code, _, _ = run_cli(capsys, "optimize", "--N", "3", "--grid", "9",
                          "--restarts", "2")
@@ -764,35 +777,6 @@ def test_missing_output_directory_exits_two_before_the_work(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("emit_csv", ["file", "file/sub"])
-def test_emit_csv_under_a_file_exits_two_before_optimizing(
-        capsys, tmp_path, monkeypatch, emit_csv):
-    """optimize ran to the end before --emit-csv failed on a file; the
-    directory is now made before the optimizer runs."""
-    def work(*args, **kwargs):
-        raise AssertionError("the optimizer ran before --emit-csv was made")
-
-    monkeypatch.setattr(cli, "optimize_en_state", work)
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "file").write_text("x\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "optimize", "--N", "7",
-                             "--emit-csv", emit_csv)
-    assert code == 2 and out == "" and err.startswith("error: ")
-    assert [p.name for p in tmp_path.iterdir()] == ["file"]
-
-
-@pytest.mark.parametrize("emit_csv", ["out/", "new/sub"])
-def test_emit_csv_makes_missing_directories(capsys, tmp_path, monkeypatch,
-                                            emit_csv):
-    """--emit-csv DIR makes DIR and its missing parents, as the README's
-    `--emit-csv out/` example needs."""
-    monkeypatch.chdir(tmp_path)
-    code, _, _ = run_cli(capsys, "optimize", "--N", "3", "--restarts", "1",
-                         "--emit-csv", emit_csv)
-    assert code == 0
-    assert (tmp_path / emit_csv / "entropy2_weights.csv").is_file()
-
-
 @contextlib.contextmanager
 def address_space_headroom(n_bytes):
     """Let this process map at most n_bytes more while the block runs, so
@@ -814,8 +798,6 @@ def address_space_headroom(n_bytes):
 @pytest.mark.parametrize("argv", [
     ["two-seed", "--trials", "1", "--grid", "1000000000"],
     ["two-seed", "--trials", "1", "--n-max", "1000000000"],
-    ["bound", "--channel", "dephasing", "--M", "3", "--eta", "0.5",
-     "--method", "fisher", "--grid", "1000000000"],
     ["optimize", "--N", "3", "--grid", "1000000000"],
     ["optimize", "--N", "1000000000"],
     ["figure", "entropy2", "--grid", "1000000000"],
