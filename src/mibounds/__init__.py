@@ -47,10 +47,7 @@ from .protocols import (
     two_seed_experiment,
 )
 from .qpe_strategy import (
-    RepeatedStrategy,
-    asymptotic_mi_bound,
     block_size_crossing,
-    chi_vs_resources_table,
     enhancement_term,
     optimal_block_size,
 )

@@ -53,16 +53,11 @@ _STATES_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class PriorDensity:
-    """Prior p(phi) on a period-L grid, with amplitude q, |q|^2 = p.
-
-    q defaults to sqrt(p); a caller may pass any complex q with the same
-    modulus (the bound depends on the choice, the default is the plain
-    square root).
-    """
+    """Prior p(phi) on a period-L grid; the spectral route weights the
+    family by its amplitude sqrt(p)."""
 
     period: float
     values: np.ndarray
-    q_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
         pgf = PeriodicGridFunction(self.period, np.asarray(self.values, dtype=float))
@@ -76,15 +71,6 @@ class PriorDensity:
                 f"prior integrates to {total:.9g}, expected 1 within 1e-6"
             )
         object.__setattr__(self, "values", vals)
-        if self.q_values is None:
-            object.__setattr__(self, "q_values", np.sqrt(vals).astype(complex))
-        else:
-            q = np.asarray(self.q_values, dtype=complex)
-            if q.shape != vals.shape:
-                raise ValidationError("q_values shape does not match density")
-            if np.max(np.abs(np.abs(q) ** 2 - vals)) > 1e-10:
-                raise ValidationError("|q|^2 does not match the density")
-            object.__setattr__(self, "q_values", q)
 
     @property
     def n_grid(self):
@@ -195,7 +181,7 @@ def _spectrum_from_states(family: StateFamily, prior: PriorDensity, k_range):
     _check_alias_window(g, k_min, k_max)
     ks = np.arange(k_min, k_max + 1)
     rows = np.mod(ks, g)
-    q = prior.q_values[:, None]
+    q = np.sqrt(prior.values)[:, None]
     width = max(1, _STATES_BLOCK // g)
     power = np.zeros(ks.size)
     for lo in range(0, family.states.shape[1], width):
@@ -499,18 +485,16 @@ def nonperiodic_fourier_bound(family_fn, prior_fn, support) -> BoundReport:
     )
 
 
-def mle_lower_bound(n_repetitions: int, fisher: float) -> BoundReport:
-    """Asymptotic achievable information 0.5 log2(N F / (2 pi e)) on a
-    period-1 prior.
+def mle_lower_bound(fisher: float) -> BoundReport:
+    """Asymptotic achievable information 0.5 log2(F / (2 pi e)) on a
+    period-1 prior, F the total Fisher information of all repetitions.
 
-    Large-N maximum-likelihood performance; meaningful once N F is well
+    Large-F maximum-likelihood performance; meaningful once F is well
     above 2 pi e, hence the "asymptotic" flag.
     """
-    if int(n_repetitions) < 1:
-        raise ValidationError("n_repetitions must be at least 1")
     if fisher <= 0.0:
         raise DomainError("fisher must be positive for the MLE estimate")
-    value = 0.5 * np.log2(n_repetitions * fisher / (TWO_PI * np.e))
+    value = 0.5 * np.log2(fisher / (TWO_PI * np.e))
     return BoundReport(
         method="mle-lower",
         bound_bits=float(value),

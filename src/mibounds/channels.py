@@ -103,18 +103,19 @@ def chi_closed_form(model: NoisyQpeModel) -> float:
     return float(sum(binary_entropy(float(x)) for x in mode_weight_args(model)))
 
 
-def dephasing_qfi(n_qubits: int, eta: float) -> float:
+def dephasing_qfi(model: NoisyQpeModel) -> float:
     """Fisher information (2 pi)^2 sum_j 4^j eta^(2^j) of the dephased run.
 
     At eta = 1 this collapses to (2 pi)^2 (4^M - 1) / 3, the noiseless
-    Heisenberg value for N = 2^M - 1 calls.
+    Heisenberg value for N = 2^M - 1 calls. No other channel has one yet.
     """
-    if not (1 <= int(n_qubits) <= MAX_QUBITS):
-        raise ValidationError(f"n_qubits must be in 1..{MAX_QUBITS}")
-    if not (0.0 <= eta <= 1.0):
-        raise DomainError("eta must lie in [0, 1]")
-    j = np.arange(int(n_qubits), dtype=float)
-    return float((2.0 * np.pi) ** 2 * (4.0**j * eta ** (2.0**j)).sum())
+    if model.kind != "dephasing":
+        raise ValidationError(
+            "the Fisher route needs the channel Fisher information, "
+            "available for dephasing only"
+        )
+    j = np.arange(model.n_qubits, dtype=float)
+    return float((2.0 * np.pi) ** 2 * (4.0**j * model.eta ** (2.0**j)).sum())
 
 
 def _factor_states(model: NoisyQpeModel, phis):

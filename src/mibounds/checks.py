@@ -212,7 +212,7 @@ def mle_gap_limit(n_grid=4096):
     """The Fisher-MLE gap falls strictly to within 0.01 bits of log2(e/2)."""
     prior = PriorDensity.uniform(1.0, n_grid)
     gaps = [fisher_bound(prior, fisher_avg=nf).bound_bits
-            - mle_lower_bound(1, nf).bound_bits
+            - mle_lower_bound(nf).bound_bits
             for nf in (1e2, 1e3, 1e4, 1e5, 1e6)]
     falling = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
     return falling and abs(gaps[-1] - MLE_GAP_LIMIT_BITS) < 0.01, (
@@ -304,7 +304,8 @@ def purification_overlap():
 @_check("channels")
 def qfi_monotone_in_M():
     """The dephasing QFI grows with the qubit count."""
-    qfis = [dephasing_qfi(m, 0.9) for m in range(1, 6)]
+    qfis = [dephasing_qfi(NoisyQpeModel("dephasing", m, 0.9))
+            for m in range(1, 6)]
     ok = all(q2 > q1 > 0.0 for q1, q2 in zip(qfis, qfis[1:]))
     return ok, f"QFI(M=1..5) = {[f'{q:.4g}' for q in qfis]}"
 

@@ -191,14 +191,9 @@ def cmd_bound(args, command):
                 prior_entropy_bits=0.0, tail_mass_bound=0.0,
             )
         else:
-            if args.channel != "dephasing":
-                raise ValidationError(
-                    "the Fisher route needs the channel Fisher information, "
-                    "available for dephasing only"
-                )
             # the uniform prior's term and entropy are 0 on any grid
             report = fisher_bound(
-                PriorDensity.uniform(), fisher_avg=dephasing_qfi(args.M, args.eta)
+                PriorDensity.uniform(), fisher_avg=dephasing_qfi(model)
             )
     elif args.overlap:
         _, data = _read_table(args.overlap)

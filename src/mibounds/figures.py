@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NoisyQpeModel, chi_closed_form
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .numerics import check_periodic_grid, gaussian_entropy_vs_bound
 from .protocols import EntangledState, covariant_posterior, optimize_en_state
 from .qpe_strategy import enhancement_term
@@ -36,6 +36,9 @@ def _eta_sweep(name, title, value, M_max, eta_min, eta_max, n_eta):
     row per point and one line per M."""
     if M_max < 1:
         raise ValidationError("M_max must be at least 1")
+    # checked before linspace, which warns on an infinite end; fails on NaN
+    if not (0.0 <= eta_min <= 1.0 and 0.0 <= eta_max <= 1.0):
+        raise DomainError("eta must lie in [0, 1]")
     etas = np.linspace(float(eta_min), float(eta_max), int(n_eta))
     rows = []
     series = []
@@ -67,8 +70,9 @@ def figure_transition(eta_min=0.5, eta_max=1.0, M_max=5, n_eta=201):
 
 def figure_b_sigma(sigma_min=1e-2, sigma_max=1e2, n_sigma=200):
     """Max-entropy discrete Gaussian against its closed-form ceiling."""
-    if not 0.0 < sigma_min < sigma_max:
-        raise ValidationError("need 0 < sigma_min < sigma_max")
+    # an infinite end would make logspace warn before the fit rejects it
+    if not 0.0 < sigma_min < sigma_max < np.inf:
+        raise ValidationError("need 0 < sigma_min < sigma_max < inf")
     sigmas = np.logspace(np.log10(float(sigma_min)), np.log10(float(sigma_max)),
                          int(n_sigma))
     table = gaussian_entropy_vs_bound(sigmas)

@@ -131,9 +131,6 @@ class FourierSpectrum:
         """sum_k k^2 f_k over the stored window."""
         return float((self.ks.astype(float) ** 2 * self.weights).sum())
 
-    def as_dict(self):
-        return {int(k): float(w) for k, w in zip(self.ks, self.weights)}
-
 
 def _check_alias_window(n_grid, k_min, k_max):
     # rectangle-rule projections alias k and k +/- G; keep the requested

@@ -1,4 +1,4 @@
-"""Resource accounting for repeated noisy phase-estimation blocks.
+"""Block-size trade-off for repeated noisy phase-estimation blocks.
 
 A strategy runs R independent repetitions of an M-qubit block, spending
 N_total = R * (2^M - 1) phase-gate calls. For large R the Fisher-route
@@ -8,36 +8,10 @@ one-dimensional trade-off: more qubits per block help at weak noise and
 hurt once the top qubits decohere.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bounds import BoundReport
-from .channels import MAX_QUBITS, NoisyQpeModel, chi_closed_form, dephasing_qfi
+from .channels import MAX_QUBITS, NoisyQpeModel, dephasing_qfi
 from .errors import DomainError, ValidationError
-
-
-@dataclass(frozen=True)
-class RepeatedStrategy:
-    """R repetitions of an M-qubit dephasing block at noise eta."""
-
-    n_qubits: int
-    n_repetitions: int
-    eta: float
-
-    def __post_init__(self):
-        if not (1 <= int(self.n_qubits) <= MAX_QUBITS):
-            raise ValidationError(f"n_qubits must be in 1..{MAX_QUBITS}")
-        if int(self.n_repetitions) < 1:
-            raise ValidationError("n_repetitions must be at least 1")
-        if not (0.0 <= self.eta <= 1.0):
-            raise DomainError("eta must lie in [0, 1]")
-        object.__setattr__(self, "n_qubits", int(self.n_qubits))
-        object.__setattr__(self, "n_repetitions", int(self.n_repetitions))
-
-    @property
-    def n_total_calls(self):
-        return self.n_repetitions * (2 ** self.n_qubits - 1)
 
 
 def enhancement_term(n_qubits: int, eta: float) -> float:
@@ -46,32 +20,11 @@ def enhancement_term(n_qubits: int, eta: float) -> float:
     F is the dephased-block Fisher information; eta = 0 kills it and the
     term is -inf (the block carries no phase information).
     """
-    if eta == 0.0:
+    model = NoisyQpeModel("dephasing", n_qubits, eta)
+    if model.eta == 0.0:
         return float("-inf")
-    fisher = dephasing_qfi(n_qubits, eta)
-    n_block = 2**n_qubits - 1
-    return float(0.5 * np.log2(np.e * fisher / (8.0 * np.pi * n_block)))
-
-
-def asymptotic_mi_bound(strategy: RepeatedStrategy) -> BoundReport:
-    """Large-R information bound 0.5 log2(N_total) + enhancement(M, eta).
-
-    Asymptotic in the number of repetitions; differs from the full
-    Fisher-route bound by 0.5 log2(1 + 1/x) with x = e R F / (8 pi).
-    """
-    term = enhancement_term(strategy.n_qubits, strategy.eta)
-    flags = ["asymptotic"]
-    if strategy.eta == 0.0:
-        flags.append("zero_fisher")
-        value = float("-inf")
-    else:
-        value = float(0.5 * np.log2(strategy.n_total_calls) + term)
-    return BoundReport(
-        method="qpe-asymptotic",
-        bound_bits=value,
-        prior_entropy_bits=0.0,
-        flags=tuple(flags),
-    )
+    return float(0.5 * np.log2(np.e * dephasing_qfi(model)
+                               / (8.0 * np.pi * model.n_calls)))
 
 
 def optimal_block_size(eta: float, m_max: int = 12) -> int:
@@ -92,13 +45,12 @@ def optimal_block_size(eta: float, m_max: int = 12) -> int:
     return best_m
 
 
-def block_size_crossing(m_low: int, m_high: int, *, eta_lo=1e-6, eta_hi=1.0,
-                        tol=1e-10) -> float:
+def block_size_crossing(m_low: int, m_high: int) -> float:
     """Noise level where blocks of m_low and m_high qubits tie.
 
-    Bisects enhancement(m_low, eta) - enhancement(m_high, eta), which is
-    positive at strong noise (small eta) and negative at weak noise for
-    m_low < m_high.
+    Bisects enhancement(m_low, eta) - enhancement(m_high, eta) on
+    [1e-6, 1] to 1e-10; the gap is positive at strong noise (small eta)
+    and negative at weak noise for m_low < m_high.
     """
     if not (1 <= m_low < m_high <= MAX_QUBITS):
         raise ValidationError("need 1 <= m_low < m_high <= MAX_QUBITS")
@@ -106,31 +58,15 @@ def block_size_crossing(m_low: int, m_high: int, *, eta_lo=1e-6, eta_hi=1.0,
     def gap(eta):
         return enhancement_term(m_low, eta) - enhancement_term(m_high, eta)
 
-    lo, hi = float(eta_lo), float(eta_hi)
+    lo, hi = 1e-6, 1.0
     if not (gap(lo) > 0.0 > gap(hi)):
         raise DomainError(
             f"no crossing between M={m_low} and M={m_high} on [{lo:g}, {hi:g}]"
         )
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def chi_vs_resources_table(kind: str, eta_list, m_range):
-    """Rows (eta, M, n_calls, chi_bits) for a channel family.
-
-    chi is the closed-form spectrum entropy; the per-qubit increments
-    shrink with M for eta < 1, so chi saturates while n_calls doubles.
-    """
-    rows = []
-    for eta in eta_list:
-        for m in m_range:
-            model = NoisyQpeModel(kind, int(m), float(eta))
-            rows.append(
-                (float(eta), int(m), model.n_calls, chi_closed_form(model))
-            )
-    return rows

@@ -94,6 +94,13 @@ def test_chi_monotone_in_eta_and_m():
             chi_closed_form(NoisyQpeModel(kind, m, 0.8)) for m in range(1, 7)
         ]
         assert all(v2 > v1 for v1, v2 in zip(by_m, by_m[1:]))
+    # for eta < 1 the per-qubit gains shrink, so chi saturates while the
+    # call budget 2^M - 1 doubles
+    chis = [chi_closed_form(NoisyQpeModel("dephasing", m, 0.8))
+            for m in range(1, 9)]
+    increments = [c2 - c1 for c1, c2 in zip(chis, chis[1:])]
+    assert all(i2 < i1 for i1, i2 in zip(increments, increments[1:]))
+    assert increments[-1] < 1e-3
 
 
 def test_overlap_route_matches_closed_form():
@@ -124,18 +131,21 @@ def test_dephasing_qfi_values():
         for eta in (0.3, 0.9, 1.0):
             j = np.arange(m)
             want = 4.0 * np.pi**2 * np.sum(4.0**j * eta ** (2.0**j))
-            assert abs(dephasing_qfi(m, eta) - want) < 1e-9
+            model = NoisyQpeModel("dephasing", m, eta)
+            assert abs(dephasing_qfi(model) - want) < 1e-9
     # noiseless value is the Heisenberg coefficient (2 pi)^2 (4^M - 1)/3
     for m in (1, 4, 8):
         want = 4.0 * np.pi**2 * (4.0**m - 1.0) / 3.0
-        assert abs(dephasing_qfi(m, 1.0) - want) < 1e-6 * want
+        model = NoisyQpeModel("dephasing", m, 1.0)
+        assert abs(dephasing_qfi(model) - want) < 1e-6 * want
 
 
 def test_dephasing_qfi_validation():
-    with pytest.raises(ValidationError):
-        dephasing_qfi(0, 0.5)
-    with pytest.raises(DomainError):
-        dephasing_qfi(2, 1.0001)
+    """Only the dephasing channel has a Fisher information; M and eta are
+    checked once, by NoisyQpeModel (test_model_validation)."""
+    for kind in ("amplitude-damping", "erasure"):
+        with pytest.raises(ValidationError, match="dephasing"):
+            dephasing_qfi(NoisyQpeModel(kind, 2, 0.5))
 
 
 def test_purified_states_reproduce_overlap():

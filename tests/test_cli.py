@@ -13,11 +13,12 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import mibounds
@@ -429,6 +430,26 @@ def test_figure_rejects_nonpositive_point_counts(capsys, tmp_path, name, flag,
     )
     assert code == 2 and flag in err
     assert out == "" and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,message", [
+    *(pytest.param(["chi_qpe", "--M-max=1", "--n-eta=3", f"{end}={value}"],
+                   "eta must lie in [0, 1]", id=f"chi_qpe{end}={value}")
+      for end in ("--eta-min", "--eta-max") for value in ("inf", "-inf", "nan")),
+    pytest.param(["b_sigma", "--n-sigma=3", "--sigma-max=inf"],
+                 "need 0 < sigma_min < sigma_max < inf",
+                 id="b_sigma--sigma-max=inf"),
+])
+def test_figure_nonfinite_range_end_exits_two_without_a_warning(
+        capsys, tmp_path, argv, message):
+    """A non-finite sweep end is refused before np.linspace or logspace,
+    which warn on an infinite one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "figure", *argv,
+                                 "--out-dir", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_figure_unknown_name(capsys):
@@ -961,6 +982,8 @@ def file_bytes(root):
 
 @settings(max_examples=150, deadline=None)
 @given(argv=fuzz_argv())
+@example(argv=["figure", "chi_qpe", "--M-max=1", "--n-eta=3", "--eta-min=inf"])
+@example(argv=["figure", "b_sigma", "--n-sigma=4", "--sigma-max=inf"])
 def test_fuzz_every_subcommand(fuzz_inputs, argv):
     """Exit 0, 2 or 3 (1 only from a failing check), no other exception,
     and a successful run leaves output on stdout or in a file."""
