@@ -47,9 +47,9 @@ from .channels import (
     dephasing_qfi,
 )
 from .checks import SUITES, run_suite
-from .errors import ValidationError
+from .errors import GridTooCoarseError, ValidationError
 from .figures import FIGURES
-from .numerics import PeriodicGridFunction
+from .numerics import PeriodicGridFunction, check_points
 from .protocols import (
     EntangledState,
     fourier_bound_ceiling,
@@ -302,6 +302,13 @@ def cmd_optimize(args, command):
 def cmd_two_seed(args, command):
     if args.n_min > args.n_max:
         raise ValidationError("need n-min <= n-max")
+    # checked before the first draw, so no seed decides the exit code
+    need = 8 * (args.n_max + 1)
+    check_points(need, "two-seed grid 8*(n-max+1)")
+    if args.grid < need:
+        raise GridTooCoarseError(
+            f"two-seed grid must be at least 8*(N+1) = {need} for --n-max"
+            f" {args.n_max}")
     rng = np.random.default_rng(args.seed)
     trials = []
     for _ in range(args.trials):

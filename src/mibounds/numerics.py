@@ -32,10 +32,16 @@ NEGATIVE_WEIGHT_TOL = 1e-10
 
 
 def entropy_bits_of_weights(w):
-    """-sum w*log2(w) with the 0*log(0) = 0 convention; w need not sum to 1."""
+    """-sum w*log2(w) along the last axis with the 0*log(0) = 0 convention;
+    w need not sum to 1. A 1-d w gives a float, summed over its positive
+    terms; a (..., n) w gives one entropy per row, summed over every term."""
     w = np.asarray(w, dtype=float)
-    if np.any(w < -NEGATIVE_WEIGHT_TOL):
+    if (w < -NEGATIVE_WEIGHT_TOL).any():
         raise ValidationError("negative weight beyond roundoff tolerance")
+    if w.ndim > 1:
+        xlogx = np.log(w, out=np.zeros_like(w), where=w > 0.0)
+        xlogx *= w
+        return -xlogx.sum(axis=-1) / LN2
     w = w[w > 0.0]
     if w.size == 0:
         return 0.0
@@ -206,11 +212,11 @@ def binary_entropy(x: float) -> float:
 
 
 def synthesized_density(c, n_grid):
-    """|sum_k c_k e^(i 2 pi j k / G)|^2 at j = 0..G-1 for G >= len(c), by
-    one zero-padded FFT: raw samples for any G, without validation."""
-    padded = np.zeros(n_grid, dtype=complex)
-    padded[: c.size] = c
-    return np.abs(np.fft.ifft(padded) * n_grid) ** 2
+    """|sum_k c_k e^(i 2 pi j k / G)|^2 at j = 0..G-1 for G >= K, along
+    the last axis of c: a (..., K) c gives (..., G) densities from one
+    zero-padded FFT, row for row the 1-d values. Raw samples for any G,
+    without validation."""
+    return np.abs(np.fft.ifft(c, n_grid) * n_grid) ** 2
 
 
 def coefficients_to_density(c, n_grid) -> PeriodicGridFunction:

@@ -693,6 +693,21 @@ def test_two_seed_validation(capsys):
     assert code == 2
 
 
+def test_two_seed_grid_too_coarse_for_n_max_exits_two_for_every_seed(
+        capsys, tmp_path):
+    """--n-max 40 needs a grid of 8*(40+1) = 328 points. The check used to
+    run only when a trial drew a large N, so --seed 1 exited 0 on the
+    default 256 points while --seed 0 exited 2 after running trials."""
+    out_file = tmp_path / "log.json"
+    for seed in range(6):
+        code, out, err = run_cli(
+            capsys, "two-seed", "--n-min", "2", "--n-max", "40", "--trials",
+            "3", "--seed", str(seed), "--out", str(out_file))
+        assert code == 2 and out == "", seed
+        assert "at least 8*(N+1) = 328" in err
+        assert not out_file.exists()
+
+
 def test_config_file_merge(capsys, tmp_path):
     cfg = tmp_path / "fig.cfg"
     cfg.write_text(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from mibounds.errors import (
     DomainError,
@@ -46,6 +47,44 @@ def test_entropy_rejects_negative_weight():
 def test_tiny_negative_weight_is_clipped():
     w = np.array([1.0, -1e-12])
     assert entropy_bits_of_weights(w) == 0.0
+
+
+def test_entropy_checks_every_row():
+    """A batched call refuses a negative weight in any one row and clips
+    roundoff there as the 1-d call does."""
+    for row in range(3):
+        w = np.full((3, 4), 0.25)
+        w[row, 2] = -0.1
+        with pytest.raises(ValidationError):
+            entropy_bits_of_weights(w)
+        w[row, 2] = -1e-12
+        h = entropy_bits_of_weights(w)
+        assert h[row] == entropy_bits_of_weights(w[row])
+        assert np.array_equal(np.delete(h, row), [2.0, 2.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(float, hst.tuples(hst.integers(1, 5), hst.integers(1, 64)),
+              elements=hst.one_of(hst.just(0.0), hst.floats(1e-6, 1e3)))
+       .filter(lambda w: w.any(axis=1).all()),
+       hst.integers(0, 64))
+def test_last_axis_calls_match_row_by_row(w, extra_points):
+    """A (k, n) call gives its rows' 1-d results: the synthesis exactly,
+    the entropy of probability rows exactly on rows without zeros. On rows
+    with zeros the 1-d sum runs over the positive terms only, so the order
+    of the additions differs: they agree to 1e-15 bits per bit."""
+    c = w * np.exp(1j * w)
+    n_grid = w.shape[1] + extra_points
+    dens = synthesized_density(c, n_grid)
+    for row, c_row in zip(dens, c):
+        assert np.array_equal(row, synthesized_density(c_row, n_grid))
+    p = w / w.sum(axis=1, keepdims=True)
+    for h, p_row in zip(entropy_bits_of_weights(p), p):
+        want = entropy_bits_of_weights(p_row)
+        if p_row.all():
+            assert h == want
+        else:
+            assert abs(h - want) <= 1e-15 * max(1.0, want)
 
 
 def test_fourier_modes_recover_trig_polynomial():

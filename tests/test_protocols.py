@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra.numpy import arrays
 
 from mibounds import protocols
 from mibounds.errors import DomainError, GridTooCoarseError, ValidationError
@@ -330,6 +331,33 @@ def test_circulant_mi_validation():
     assert circulant_mi(np.array([0.0, 0.0, 2.0, 0.0])) == 2.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(arrays(float, hst.tuples(hst.integers(1, 5), hst.integers(2, 64)),
+              elements=hst.one_of(hst.just(0.0), hst.floats(1e-6, 1e3)))
+       .filter(lambda r: r.any(axis=1).all()))
+def test_circulant_mi_rows_match_one_dimensional_calls(r):
+    """A (k, G) call gives each row's MI: exactly on rows without zeros,
+    and on rows with zeros, whose 1-d entropy sums the positive terms
+    only, to 1e-15 bits per bit of the entropy H <= log2 G."""
+    for mi, row in zip(circulant_mi(r), r):
+        want = circulant_mi(row)
+        if row.all():
+            assert mi == want
+        else:
+            assert abs(mi - want) <= 1e-15 * np.log2(row.size)
+
+
+def test_circulant_mi_checks_every_row():
+    bad_rows = ([0.5, -0.1, 0.3, 0.2], [0.0] * 4,
+                [np.nan, 1.0, 0.5, 0.5], [np.inf, 1.0, 0.5, 0.5])
+    for row in range(3):
+        for bad in bad_rows:
+            r = np.ones((3, 4))
+            r[row] = bad
+            with pytest.raises(DomainError):
+                circulant_mi(r)
+
+
 def _synthesized_oracle(coeffs, n_grid):
     padded = np.zeros(n_grid, dtype=complex)
     padded[: coeffs.size] = coeffs
@@ -352,6 +380,43 @@ def test_two_seed_matches_matrix_oracle():
         assert abs(res.mi_single - discrete_mi(_circulant_matrix(r_single))) < 1e-12
         assert abs(res.mi_merged - discrete_mi(_circulant_matrix(r_1 + r_2))) < 1e-12
         assert abs(res.mi_split - split) < 1e-12
+
+
+@hst.composite
+def _seed_trials(draw):
+    """(c, a, b, G): a real unit-norm state of N = 1..6 calls, seeds with
+    random split fractions and random phases, and 8(N+1) <= G <= 64."""
+    n = draw(hst.integers(2, 7))
+    unit = hst.lists(hst.floats(0.0, 1.0), min_size=n, max_size=n)
+    c = np.array(draw(hst.lists(hst.floats(-1.0, 1.0), min_size=n, max_size=n)
+                      .filter(lambda v: np.linalg.norm(v) > 0.1)))
+    u, phase_a, phase_b = (np.array(draw(unit)) for _ in range(3))
+    a = np.sqrt(u) * np.exp(2j * np.pi * phase_a)
+    b = np.sqrt(1.0 - u) * np.exp(2j * np.pi * phase_b)
+    return c / np.linalg.norm(c), a, b, draw(hst.integers(8 * n, 64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_seed_trials())
+@example((np.full(4, 0.5), np.zeros(4, complex), np.exp(0.3j * np.arange(4)), 33))
+@example((np.array([0.6, 0.8]), np.array([1.0, 1j]), np.zeros(2, complex), 16))
+def test_two_seed_matches_per_seed_oracles(trial):
+    """The batched trial against each seed's own zero-padded FFT and the
+    G x G circulant matrix, complex seeds and odd grids included."""
+    c, a, b, n_grid = trial
+    r_single, r_1, r_2 = (_synthesized_oracle(v, n_grid)
+                          for v in (c, np.conj(a) * c, np.conj(b) * c))
+    lambdas = (r_1.mean(), r_2.mean())
+    single = discrete_mi(_circulant_matrix(r_single))
+    merged = discrete_mi(_circulant_matrix(r_1 + r_2))
+    split = sum(lam * discrete_mi(_circulant_matrix(r))
+                for lam, r in zip(lambdas, (r_1, r_2)) if lam > 1e-12)
+    res = two_seed_experiment(SeedPair(EntangledState(c), a, b), n_grid)
+    got = (res.lambda_1, res.lambda_2, res.mi_single, res.mi_split, res.mi_merged)
+    assert np.max(np.abs(np.subtract(got, (*lambdas, single, split, merged)))) <= 1e-12
+    assert res.always_ok == (merged <= single + 1e-9)
+    assert res.fromconv_ok == (merged <= split + 1e-9)
+    assert res.wonder_violated == (split > single + 1e-9)
 
 
 def test_two_seed_large_grid_memory_is_linear():
