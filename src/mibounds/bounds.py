@@ -15,8 +15,7 @@ an entropic uncertainty check for number/phase pairs live here too.
 """
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -52,37 +51,21 @@ _STATES_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
-class PriorDensity:
+class PriorDensity(PeriodicGridFunction):
     """Prior p(phi) on a period-L grid; the spectral route weights the
-    family by its amplitude sqrt(p)."""
+    family by its amplitude sqrt(p).
 
-    period: float
-    values: np.ndarray
+    The samples pass differential_entropy's density rule, which also gives
+    entropy_bits, and are kept with roundoff negatives clipped to 0.
+    """
+
+    entropy_bits: float = field(init=False)
 
     def __post_init__(self):
-        pgf = PeriodicGridFunction(self.period, np.asarray(self.values, dtype=float))
-        if np.any(pgf.values < -1e-12):
-            raise ValidationError("prior density has negative samples")
-        vals = np.clip(pgf.values, 0.0, None)
-        h = self.period / vals.size
-        total = float(vals.sum() * h)
-        if abs(total - 1.0) > 1e-6:
-            raise NonNormalizedDensityError(
-                f"prior integrates to {total:.9g}, expected 1 within 1e-6"
-            )
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_grid(self):
-        return self.values.size
-
-    @property
-    def grid(self):
-        return np.arange(self.n_grid) * (self.period / self.n_grid)
-
-    @cached_property
-    def entropy_bits(self):
-        return differential_entropy(PeriodicGridFunction(self.period, self.values))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        super().__post_init__()
+        object.__setattr__(self, "entropy_bits", differential_entropy(self))
+        object.__setattr__(self, "values", np.clip(self.values, 0.0, None))
 
     @classmethod
     def uniform(cls, period=1.0, n_grid=4096):
@@ -205,13 +188,14 @@ def _spectral_report(ks, weights, prior_entropy_bits) -> BoundReport:
             f"spectrum mass {total:.12g} is not finite or exceeds 1; "
             "grid or inputs are inconsistent"
         )
-    spectrum = FourierSpectrum(ks, weights, tail_mass_bound=max(0.0, 1.0 - total))
+    tail = max(0.0, 1.0 - total)
+    spectrum = FourierSpectrum(ks, weights)
     return BoundReport(
         method="fourier",
         bound_bits=spectrum.entropy_bits(),
         prior_entropy_bits=prior_entropy_bits,
-        tail_mass_bound=spectrum.tail_mass_bound,
-        flags=("truncated_spectrum",) if spectrum.tail_mass_bound > 1e-9 else (),
+        tail_mass_bound=tail,
+        flags=("truncated_spectrum",) if tail > 1e-9 else (),
         spectrum=spectrum,
     )
 
@@ -382,7 +366,7 @@ def fisher_bound(prior: PriorDensity, model: EstimationModel = None,
     # 4.2e-8 bits at sigma = 1e3 (the margin tends to 1/(2 pi e sigma^2 ln 4));
     # so solving only below sigma = 1 misses no flag and keeps a huge sigma
     # (M = 30) away from the solver's support cap
-    if sigma2 < 1.0 and discrete_gaussian_fit(sigma2)[2].entropy_bits() > curve:
+    if sigma2 < 1.0 and discrete_gaussian_fit(sigma2)[1] > curve:
         flags = flags + ("below_max_entropy_envelope",)
     bound = curve - np.log2(prior.period) + prior.entropy_bits
     return BoundReport(

@@ -119,12 +119,16 @@ def parseval_tail(rng):
 
 @_check("numerics")
 def gaussian_fit_constraints():
-    """The discrete-Gaussian solver meets both of its constraints."""
+    """exp(-lam k^2) / Z on the solver's support meets both constraints."""
     worst = 0.0
     for s2 in (0.25, 1.0, 25.0):
-        _, _, spectrum = discrete_gaussian_fit(s2)
-        worst = max(worst, abs(spectrum.total_mass() - 1.0),
-                    abs(spectrum.second_moment() - s2) / s2)
+        lam, _ = discrete_gaussian_fit(s2)
+        k_max = int(10.0 * np.sqrt(s2) + 12.0)
+        k2 = np.arange(-k_max, k_max + 1).astype(float) ** 2
+        weights = np.exp(-lam * k2)
+        weights /= weights.sum()
+        worst = max(worst, abs(weights.sum() - 1.0),
+                    abs((k2 * weights).sum() - s2) / s2)
     return worst < 1e-10, f"worst constraint error {worst:.3e}"
 
 

@@ -33,19 +33,15 @@ NEGATIVE_WEIGHT_TOL = 1e-10
 
 def entropy_bits_of_weights(w):
     """-sum w*log2(w) along the last axis with the 0*log(0) = 0 convention;
-    w need not sum to 1. A 1-d w gives a float, summed over its positive
-    terms; a (..., n) w gives one entropy per row, summed over every term."""
+    w need not sum to 1. A 1-d w gives a float, a (..., n) w one entropy
+    per row; both sum every term, so a row gives its 1-d value exactly."""
     w = np.asarray(w, dtype=float)
     if (w < -NEGATIVE_WEIGHT_TOL).any():
         raise ValidationError("negative weight beyond roundoff tolerance")
-    if w.ndim > 1:
-        xlogx = np.log(w, out=np.zeros_like(w), where=w > 0.0)
-        xlogx *= w
-        return -xlogx.sum(axis=-1) / LN2
-    w = w[w > 0.0]
-    if w.size == 0:
-        return 0.0
-    return float(-(w * np.log(w)).sum() / LN2)
+    xlogx = np.log(np.where(w > 0.0, w, 1.0))  # log 1 = 0 gives 0 log 0 = 0
+    xlogx *= w
+    h = -xlogx.sum(axis=-1) / LN2
+    return float(h) if w.ndim == 1 else h
 
 
 def check_periodic_grid(n_grid):
@@ -102,33 +98,21 @@ class PeriodicGridFunction:
 
 @dataclass(frozen=True)
 class FourierSpectrum:
-    """Nonnegative Fourier weights f_k on an integer index window.
-
-    tail_mass_bound is 1 - sum(weights) when the originating function
-    carried unit Parseval mass, so weights outside [k_min, k_max] can hold
-    at most that much probability; it is 0.0 when no such normalization
-    was available.
-    """
+    """Nonnegative Fourier weights f_k on an integer index window; weights
+    down to -1e-10 are roundoff and clipped to 0."""
 
     ks: np.ndarray
     weights: np.ndarray
-    tail_mass_bound: float = 0.0
 
     def __post_init__(self):
         ks = np.asarray(self.ks, dtype=int)
-        w = np.asarray(self.weights, dtype=float).copy()
+        w = np.asarray(self.weights, dtype=float)
         if ks.shape != w.shape or ks.ndim != 1:
             raise ValidationError("ks and weights must be matching 1-d arrays")
         if np.any(w < -NEGATIVE_WEIGHT_TOL):
             raise ValidationError("spectrum weight below -1e-10")
-        w[w < 0.0] = 0.0
         object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "weights", w)
-        if not (0.0 <= self.tail_mass_bound <= 1.0 + 1e-9):
-            raise ValidationError("tail_mass_bound outside [0, 1]")
-
-    def total_mass(self):
-        return float(self.weights.sum())
+        object.__setattr__(self, "weights", np.clip(w, 0.0, None))
 
     def entropy_bits(self):
         return entropy_bits_of_weights(self.weights)
@@ -176,27 +160,22 @@ def fourier_modes(f: PeriodicGridFunction, k_range):
 
 
 def differential_entropy(density: PeriodicGridFunction) -> float:
-    """-integral p log2 p over one period by the rectangle rule, in bits.
+    """-integral p log2 p = h * entropy_bits_of_weights(p) over one period
+    by the rectangle rule of step h, in bits; may be negative.
 
-    Requires real nonnegative samples integrating to 1 within 1e-6.
-    May be negative for densities concentrated below unit scale.
+    The package's one density rule: samples below -1e-12 are refused, the
+    rest clipped to 0, and they must integrate to 1 within 1e-6.
     """
-    vals = density.values
-    if np.iscomplexobj(vals):
-        if np.max(np.abs(vals.imag)) > 1e-12:
-            raise ValidationError("density has a non-negligible imaginary part")
-        vals = vals.real
-    if np.any(vals < -1e-12):
+    if np.any(density.values < -1e-12):
         raise ValidationError("density has negative samples")
-    p = np.clip(vals, 0.0, None)
+    p = np.clip(density.values, 0.0, None)
     h = density.period / density.n_grid
     total = float(p.sum() * h)
     if abs(total - 1.0) > 1e-6:
         raise NonNormalizedDensityError(
             f"density integrates to {total:.9g}, expected 1 within 1e-6"
         )
-    pos = p[p > 0.0]
-    return float(-(pos * np.log(pos)).sum() * h / LN2)
+    return h * entropy_bits_of_weights(p)
 
 
 def binary_entropy(x: float) -> float:
@@ -235,53 +214,50 @@ def coefficients_to_density(c, n_grid) -> PeriodicGridFunction:
 
 
 def discrete_gaussian_fit(sigma2: float):
-    """Max-entropy integer spectrum with unit mass and second moment sigma2.
+    """(lam, H*) of the max-entropy integer spectrum with unit mass and
+    second moment sigma2, the discrete Gaussian f_k = exp(-lam k^2) / Z.
 
-    The maximizer is the discrete Gaussian f_k = exp(-lam k^2) / Z (Jaynes,
-    Phys. Rev. 106, 620 (1957)), returned as f_k = exp(-k^2 / (2 b^2)) /
-    (sqrt(2 pi) c) with b = 1/sqrt(2 lam) and c = Z / sqrt(2 pi). Newton
+    Its entropy H* = (lam sigma2 + ln Z) / ln 2 (Jaynes, Phys. Rev. 106,
+    620 (1957)) comes from the dual solve; no spectrum is built. Newton
     steps in log lam solve log m(lam) = log sigma2 for the second moment m,
     with d log m / d log lam = -lam Var(k^2) / m, starting from
     lam = 1/(2 sigma2) when sigma2 >= 1/4 and from the three-point value
     log(2 (1 - sigma2) / sigma2) below it. log m is summed in log space,
     so a subnormal sigma2 (lam near 745) loses nothing; at most four
     evaluations were needed over 3300 log-spaced sigma2 in [5e-324, 1e9].
-    The support is |k| <= 10 sigma + 12, where the dropped weights are
-    below exp(-50) of the peak.
+    The one-sided sums run over 1 <= k <= 10 sigma + 12, where the dropped
+    weights are below exp(-50) of the peak. sigma2 = 0 gives (inf, 0.0).
 
-    Returns
-    -------
-    b, c : floats of the fitted form
-    spectrum : FourierSpectrum with the fitted weights
-
-    Raises
-    ------
-    DomainError if sigma2 is negative or not finite, or if the support
-    needs more than MAX_POINTS points (sigma above about 2.1e5), before it
-    is allocated; NumericalFailureError if the fitted spectrum misses
-    either constraint by more than 1e-10.
+    Raises DomainError if sigma2 is negative or not finite, or if the
+    support needs more than MAX_POINTS points (sigma above about 2.1e5),
+    before anything is allocated; NumericalFailureError if the second
+    moment at the returned lam misses sigma2 by more than 1e-10 relative.
+    The mass is 1 by construction.
     """
     if not (np.isfinite(sigma2) and sigma2 >= 0.0):
         raise DomainError("sigma2 must be finite and nonnegative")
     if sigma2 == 0.0:
-        # degenerate limit: all mass at k = 0
-        spectrum = FourierSpectrum(np.array([0]), np.array([1.0]))
-        return 0.0, 1.0 / np.sqrt(TWO_PI), spectrum
+        return float("inf"), 0.0
 
     k_max = int(10.0 * np.sqrt(sigma2) + 12.0)
     check_points(2 * k_max + 1, f"sigma2={sigma2:g}: integer support")
     k2 = np.arange(1, k_max + 1, dtype=float) ** 2
     log_target = np.log(sigma2)
+
+    def dual_sums(lam):
+        # u_k = exp(-lam (k^2 - 1)) for k >= 1 has u_1 = 1, so the sums
+        # never underflow; exp(-lam) enters only through ln Z = log1p(...)
+        u = np.exp(-lam * (k2 - 1.0))
+        s0, s2, s4 = u.sum(), (k2 * u).sum(), (k2 * k2 * u).sum()
+        log_z = np.log1p(2.0 * np.exp(-lam) * s0)
+        return s2, s4, log_z, np.log(2.0 * s2) - lam - log_z
+
     if sigma2 >= 0.25:
         lam = 0.5 / sigma2
     else:
         lam = np.log(2.0 * (1.0 - sigma2)) - log_target
     for _ in range(50):
-        # u_k = exp(-lam (k^2 - 1)) for k >= 1 has u_1 = 1, so the sums
-        # never underflow; exp(-lam) enters only through log1p
-        u = np.exp(-lam * (k2 - 1.0))
-        s0, s2, s4 = u.sum(), (k2 * u).sum(), (k2 * k2 * u).sum()
-        log_m = np.log(2.0 * s2) - lam - np.log1p(2.0 * np.exp(-lam) * s0)
+        s2, s4, _, log_m = dual_sums(lam)
         step = (log_m - log_target) / (-lam * (s4 / s2 - np.exp(log_m)))
         lam *= np.exp(-step)
         # quadratic convergence: after a step this small log lam is at
@@ -289,19 +265,14 @@ def discrete_gaussian_fit(sigma2: float):
         if abs(step) <= 1e-10:
             break
 
-    ks = np.arange(-k_max, k_max + 1)
-    weights = np.exp(-lam * ks.astype(float) ** 2)
-    z = float(weights.sum())
-    spectrum = FourierSpectrum(ks, weights / z, tail_mass_bound=0.0)
-
-    # both constraints must hold to 1e-10 relative or the fit is no good
-    mass = spectrum.total_mass()
-    moment = spectrum.second_moment()
-    if abs(mass - 1.0) > 1e-10 or abs(moment - sigma2) > 1e-10 * max(sigma2, 1e-30):
+    # the moment and ln Z at the returned lam, not at the last iterate
+    _, _, log_z, log_m = dual_sums(lam)
+    moment = np.exp(log_m)
+    if abs(moment - sigma2) > 1e-10 * max(sigma2, 1e-30):
         raise NumericalFailureError(
-            f"constraints not met: mass={mass:.15g}, moment={moment:.15g}"
+            f"second moment {moment:.15g} misses sigma2={sigma2:.15g}"
         )
-    return float(1.0 / np.sqrt(2.0 * lam)), float(z / np.sqrt(TWO_PI)), spectrum
+    return float(lam), float((lam * sigma2 + log_z) / LN2)
 
 
 def gaussian_entropy_vs_bound(sigma_grid):
@@ -314,8 +285,7 @@ def gaussian_entropy_vs_bound(sigma_grid):
     """
     rows = []
     for sigma in np.asarray(sigma_grid, dtype=float):
-        _, _, spectrum = discrete_gaussian_fit(sigma * sigma)
-        entropy = spectrum.entropy_bits()
+        _, entropy = discrete_gaussian_fit(sigma * sigma)
         bound = 0.5 * np.log2(1.0 + TWO_PI * np.e * sigma * sigma)
         rows.append((float(sigma), entropy, float(bound), float(bound - entropy)))
     return rows

@@ -1,5 +1,7 @@
 """Grid functions, Fourier weights, and discrete-Gaussian fits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -69,10 +71,8 @@ def test_entropy_checks_every_row():
        .filter(lambda w: w.any(axis=1).all()),
        hst.integers(0, 64))
 def test_last_axis_calls_match_row_by_row(w, extra_points):
-    """A (k, n) call gives its rows' 1-d results: the synthesis exactly,
-    the entropy of probability rows exactly on rows without zeros. On rows
-    with zeros the 1-d sum runs over the positive terms only, so the order
-    of the additions differs: they agree to 1e-15 bits per bit."""
+    """A (k, n) call gives its rows' 1-d results exactly: the synthesis,
+    and the entropy of probability rows, zeros included."""
     c = w * np.exp(1j * w)
     n_grid = w.shape[1] + extra_points
     dens = synthesized_density(c, n_grid)
@@ -80,11 +80,7 @@ def test_last_axis_calls_match_row_by_row(w, extra_points):
         assert np.array_equal(row, synthesized_density(c_row, n_grid))
     p = w / w.sum(axis=1, keepdims=True)
     for h, p_row in zip(entropy_bits_of_weights(p), p):
-        want = entropy_bits_of_weights(p_row)
-        if p_row.all():
-            assert h == want
-        else:
-            assert abs(h - want) <= 1e-15 * max(1.0, want)
+        assert h == entropy_bits_of_weights(p_row)
 
 
 def test_fourier_modes_recover_trig_polynomial():
@@ -253,20 +249,30 @@ def bisection_fit(sigma2):
     return b, entropy_bits_of_weights(w / s0)
 
 
+def explicit_gaussian(sigma2, lam):
+    """The brute-force oracle of the dual solve: k^2 and exp(-lam k^2) / Z
+    written out over the solver's support |k| <= 10 sigma + 12."""
+    k_max = int(10.0 * np.sqrt(sigma2) + 12.0)
+    k2 = np.arange(-k_max, k_max + 1).astype(float) ** 2
+    w = np.exp(-lam * k2)
+    return k2, w / w.sum()
+
+
 def test_discrete_gaussian_fit_matches_bisection():
     """Newton on the dual against the bisection, from the smallest
     subnormal sigma^2 to the bisection's own support cap (sigma ~ 2.3e4)."""
     sigma2s = np.logspace(np.log10(5e-324), np.log10(5.3e8), 48)
     sigma2s[0] = 5e-324
     for sigma2 in sigma2s:
-        b, _, spectrum = discrete_gaussian_fit(sigma2)
+        lam, h_star = discrete_gaussian_fit(sigma2)
         b_ref, h_ref = bisection_fit(sigma2)
-        assert abs(spectrum.entropy_bits() - h_ref) <= 1e-13
-        assert abs(b / b_ref - 1.0) <= 1e-12
+        assert abs(h_star - h_ref) <= 1e-13
+        assert abs(1.0 / np.sqrt(2.0 * lam) / b_ref - 1.0) <= 1e-12
 
 
 # largest log10(sigma^2) whose support |k| <= 10 sigma + 12 fits the cap
-_LOG_SIGMA2_MAX = 2.0 * np.log10(((MAX_POINTS - 1) / 2 - 12) / 10)
+_SIGMA_MAX = ((MAX_POINTS - 1) / 2 - 12) / 10
+_LOG_SIGMA2_MAX = 2.0 * np.log10(_SIGMA_MAX)
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,11 +286,11 @@ def test_discrete_gaussian_is_the_max_entropy_spectrum(log_s2, log_step, seed):
     with sigma^2, and no random spectrum on |k| <= 8 with the same second
     moment carries more entropy."""
     sigma2 = 10.0 ** log_s2
-    _, _, spectrum = discrete_gaussian_fit(sigma2)
-    h_star = spectrum.entropy_bits()
-    assert abs(spectrum.total_mass() - 1.0) <= 1e-10
-    assert abs(spectrum.second_moment() - sigma2) <= 1e-10 * max(sigma2, 1e-30)
-    assert h_star <= discrete_gaussian_fit(10.0 ** (log_s2 + log_step))[2].entropy_bits()
+    lam, h_star = discrete_gaussian_fit(sigma2)
+    k2, w_star = explicit_gaussian(sigma2, lam)
+    assert abs(w_star.sum() - 1.0) <= 1e-10
+    assert abs((k2 * w_star).sum() - sigma2) <= 1e-10 * max(sigma2, 1e-30)
+    assert h_star <= discrete_gaussian_fit(10.0 ** (log_s2 + log_step))[1]
     if sigma2 <= 64.0:
         # mix a random spectrum with the point mass at 0 (moment 0) or at
         # +-8 (moment 64) so that its second moment is sigma^2
@@ -299,29 +305,55 @@ def test_discrete_gaussian_is_the_max_entropy_spectrum(log_s2, log_step, seed):
         assert h_star * (1.0 + 1e-12) >= entropy_bits_of_weights(t * w + (1.0 - t) * edge)
 
 
+@settings(max_examples=60, deadline=None)
+@example(log_s2=np.log10(5e-324))
+@example(log_s2=_LOG_SIGMA2_MAX - 1.0)
+@given(log_s2=hst.floats(np.log10(5e-324), _LOG_SIGMA2_MAX - 1.0))
+def test_closed_form_entropy_matches_explicit_spectrum(log_s2):
+    """H* = (lam sigma^2 + ln Z) / ln 2 from the dual equals the entropy of
+    the spectrum written out, over the accepted sigma^2 domain."""
+    sigma2 = 10.0 ** log_s2
+    lam, h_star = discrete_gaussian_fit(sigma2)
+    h_explicit = entropy_bits_of_weights(explicit_gaussian(sigma2, lam)[1])
+    assert abs(h_star - h_explicit) <= 1e-13 * max(1.0, h_explicit)
+
+
+def test_discrete_gaussian_fit_memory_at_the_cap():
+    """At the largest sigma^2 the cap accepts the solve keeps only its
+    one-sided sums: no two-sided spectrum is allocated."""
+    tracemalloc.start()
+    try:
+        discrete_gaussian_fit(_SIGMA_MAX**2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 65 * 2**20
+
+
 def test_discrete_gaussian_fit_constraints():
     """The fitted integer spectrum hits unit mass and the target moment."""
     for sigma2 in (0.0625, 0.25, 1.0, 25.0, 1e4):
-        b, c, spec = discrete_gaussian_fit(sigma2)
-        assert b > 0.0 and c > 0.0
-        assert abs(spec.total_mass() - 1.0) < 1e-10
-        assert abs(spec.second_moment() - sigma2) < 1e-10 * sigma2
+        lam, _ = discrete_gaussian_fit(sigma2)
+        assert 0.0 < lam < np.inf
+        k2, w = explicit_gaussian(sigma2, lam)
+        assert abs(w.sum() - 1.0) < 1e-10
+        assert abs((k2 * w).sum() - sigma2) < 1e-10 * sigma2
 
 
 def test_discrete_gaussian_fit_degenerate():
-    b, c, spec = discrete_gaussian_fit(0.0)
-    assert spec.total_mass() == 1.0
-    assert spec.second_moment() == 0.0
-    assert spec.entropy_bits() == 0.0
+    # sigma^2 = 0 is the point mass at k = 0, the limit lam -> inf
+    lam, h_star = discrete_gaussian_fit(0.0)
+    assert lam == np.inf
+    assert h_star == 0.0 and np.copysign(1.0, h_star) == 1.0
     with pytest.raises(DomainError):
         discrete_gaussian_fit(-1.0)
 
 
 def test_discrete_gaussian_entropy_at_unit_sigma():
-    _, _, spec = discrete_gaussian_fit(1.0)
-    assert abs(spec.entropy_bits() - 2.0470955928998746) < 1e-9
+    _, h_star = discrete_gaussian_fit(1.0)
+    assert abs(h_star - 2.0470955928998746) < 1e-9
     bound = 0.5 * np.log2(1.0 + 2.0 * np.pi * np.e)
-    assert bound - spec.entropy_bits() > 0.04
+    assert bound - h_star > 0.04
 
 
 def test_entropy_vs_reference_curve_margins():
