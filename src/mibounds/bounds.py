@@ -14,12 +14,13 @@ A matching asymptotic lower bound for maximum-likelihood estimation and
 an entropic uncertainty check for number/phase pairs live here too.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     DivergenceError,
     DomainError,
@@ -487,7 +488,7 @@ def mle_lower_bound(fisher: float) -> BoundReport:
     )
 
 
-MLE_GAP_LIMIT_BITS = float(np.log2(np.e / 2.0))  # about 0.4427
+MLE_GAP_LIMIT_BITS = math.log2(math.e / 2.0)  # about 0.4427
 
 
 def companion_bound_comparison(fisher: float):

@@ -14,13 +14,16 @@ retention parameter eta in [0, 1]:
 For each channel the overlap f(phi) = <psi_0|psi_phi> of the purified
 run factorizes over qubits as prod_j (1 - x_j + x_j e^(i 2 pi 2^j phi)),
 which makes the Fourier weights a product of binary distributions and
-the spectrum entropy a sum of binary entropies.
+the spectrum entropy a sum of binary entropies. The x_j are M Python
+floats (mode_weight_args), so chi_closed_form is O(M) scalar arithmetic
+and needs no numpy; the overlap and purified-state oracles build their
+arrays from the same x_j.
 """
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError, ValidationError
 from .numerics import PeriodicGridFunction, binary_entropy
 
@@ -62,8 +65,7 @@ class NoisyQpeModel:
 # a^2 from y = eta^p, and c^2 = 1 - a^2 - b^2. Dephasing's x_j takes
 # eta^(2p) as its own power: 0.5 * y * y differs from it in the last bit.
 _FACTOR_WEIGHTS = {
-    "dephasing": (lambda eta, p: eta ** (2.0 * p) / 2.0,
-                  lambda y: np.full_like(y, 0.5)),
+    "dephasing": (lambda eta, p: eta ** (2.0 * p) / 2.0, lambda y: 0.5),
     "amplitude-damping": (lambda eta, p: (y := eta**p) / (4.0 - 2.0 * y),
                           lambda y: 1.0 - 0.5 * y),
     "erasure": (lambda eta, p: eta**p / 2.0, lambda y: 0.5 * y),
@@ -74,10 +76,11 @@ def mode_weight_args(model: NoisyQpeModel):
     """Oscillating-term coefficients x_j = b^2 of the per-qubit overlap factors.
 
     Qubit j contributes the factor 1 - x_j + x_j e^(i 2 pi 2^j phi), so
-    the chi increment of qubit j is the binary entropy of x_j.
+    the chi increment of qubit j is the binary entropy of x_j. Returns
+    the M values as a list of floats, j = 0..M-1.
     """
-    p = 2.0 ** np.arange(model.n_qubits, dtype=float)
-    return _FACTOR_WEIGHTS[model.kind][0](model.eta, p)
+    x_fn = _FACTOR_WEIGHTS[model.kind][0]
+    return [x_fn(model.eta, 2.0**j) for j in range(model.n_qubits)]
 
 
 def overlap_function(model: NoisyQpeModel, n_grid=None) -> PeriodicGridFunction:
@@ -100,7 +103,7 @@ def overlap_function(model: NoisyQpeModel, n_grid=None) -> PeriodicGridFunction:
 
 def chi_closed_form(model: NoisyQpeModel) -> float:
     """Spectrum entropy chi in bits as a sum of per-qubit binary entropies."""
-    return float(sum(binary_entropy(float(x)) for x in mode_weight_args(model)))
+    return sum(map(binary_entropy, mode_weight_args(model)))
 
 
 def dephasing_qfi(model: NoisyQpeModel) -> float:
@@ -126,15 +129,13 @@ def _factor_states(model: NoisyQpeModel, phis):
     fixed orthonormal u, v, w ever carry amplitude; the other coordinates
     are zero for every phi, so dropping them changes no <psi_phi|psi_phi'>.
     """
-    x_fn, a2_fn = _FACTOR_WEIGHTS[model.kind]
-    p = 2.0 ** np.arange(model.n_qubits, dtype=float)
-    b2, a2 = x_fn(model.eta, p), a2_fn(model.eta**p)
-    amplitudes = np.sqrt([a2, b2, np.maximum(0.0, 1.0 - a2 - b2)])  # (3, M)
-    for j, (a, b, c) in enumerate(amplitudes.T):
+    a2_fn = _FACTOR_WEIGHTS[model.kind][1]
+    for j, b2 in enumerate(mode_weight_args(model)):
+        a2 = a2_fn(model.eta ** (2.0**j))
         out = np.empty((3, phis.size), dtype=complex)
-        out[0] = a
-        out[1] = b * np.exp(1j * 2.0 * np.pi * (2**j) * phis)
-        out[2] = c
+        out[0] = math.sqrt(a2)
+        out[1] = math.sqrt(b2) * np.exp(1j * 2.0 * np.pi * (2**j) * phis)
+        out[2] = math.sqrt(max(0.0, 1.0 - a2 - b2))
         yield out
 
 

@@ -30,9 +30,8 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+from ._lazy import np
 from .bounds import (
     BoundReport,
     EstimationModel,
@@ -191,10 +190,11 @@ def cmd_bound(args, command):
                 prior_entropy_bits=0.0, tail_mass_bound=0.0,
             )
         else:
-            # the uniform prior's term and entropy are 0 on any grid
-            report = fisher_bound(
-                PriorDensity.uniform(), fisher_avg=dephasing_qfi(model)
-            )
+            # the Fisher information first: a channel without one is
+            # refused before the prior allocates anything. The uniform
+            # prior's term and entropy are 0 on any grid
+            fisher_avg = dephasing_qfi(model)
+            report = fisher_bound(PriorDensity.uniform(), fisher_avg=fisher_avg)
     elif args.overlap:
         _, data = _read_table(args.overlap)
         if data.shape[1] < 2:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .channels import NoisyQpeModel, chi_closed_form
 from .errors import DomainError, ValidationError
 from .numerics import check_periodic_grid, gaussian_entropy_vs_bound

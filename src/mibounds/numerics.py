@@ -12,10 +12,12 @@ Conventions used throughout the package:
   with natural logs and divided by LN2 once.
 """
 
+from __future__ import annotations
+
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     DomainError,
     GridTooCoarseError,
@@ -24,8 +26,8 @@ from .errors import (
     ValidationError,
 )
 
-LN2 = float(np.log(2.0))
-TWO_PI = 2.0 * np.pi
+LN2 = math.log(2.0)
+TWO_PI = 2.0 * math.pi
 
 # weights this far below zero are treated as roundoff and clipped
 NEGATIVE_WEIGHT_TOL = 1e-10
@@ -34,13 +36,14 @@ NEGATIVE_WEIGHT_TOL = 1e-10
 def entropy_bits_of_weights(w):
     """-sum w*log2(w) along the last axis with the 0*log(0) = 0 convention;
     w need not sum to 1. A 1-d w gives a float, a (..., n) w one entropy
-    per row; both sum every term, so a row gives its 1-d value exactly."""
+    per row; both sum every term, so a row gives its 1-d value exactly.
+    A point mass gives +0.0."""
     w = np.asarray(w, dtype=float)
     if (w < -NEGATIVE_WEIGHT_TOL).any():
         raise ValidationError("negative weight beyond roundoff tolerance")
     xlogx = np.log(np.where(w > 0.0, w, 1.0))  # log 1 = 0 gives 0 log 0 = 0
     xlogx *= w
-    h = -xlogx.sum(axis=-1) / LN2
+    h = -xlogx.sum(axis=-1) / LN2 + 0.0  # the sum is -0.0 for a point mass
     return float(h) if w.ndim == 1 else h
 
 
@@ -184,9 +187,9 @@ def binary_entropy(x: float) -> float:
         raise DomainError(f"binary entropy argument {x!r} outside [0, 1]")
     out = 0.0
     if 0.0 < x:
-        out -= x * np.log(x)
+        out -= x * math.log(x)
     if x < 1.0:
-        out -= (1.0 - x) * np.log(1.0 - x)
+        out -= (1.0 - x) * math.log(1.0 - x)
     return float(out / LN2)
 
 

@@ -21,12 +21,13 @@ trial synthesizes its three seed densities in one batched length-G FFT,
 scores the circulant MIs row by row and needs O(G) memory.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-import numpy as np
-
+from ._lazy import np
 from .errors import DomainError, GridTooCoarseError, ValidationError
 from .numerics import (
     LN2,

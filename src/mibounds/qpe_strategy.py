@@ -8,8 +8,7 @@ one-dimensional trade-off: more qubits per block help at weak noise and
 hurt once the top qubits decohere.
 """
 
-import numpy as np
-
+from ._lazy import np
 from .channels import MAX_QUBITS, NoisyQpeModel, dephasing_qfi
 from .errors import DomainError, ValidationError
 

@@ -25,7 +25,11 @@ from mibounds.channels import (
     purified_state_family,
 )
 from mibounds.errors import DomainError, ValidationError
-from mibounds.numerics import binary_entropy
+from mibounds.numerics import (
+    binary_entropy,
+    entropy_bits_of_weights,
+    fourier_modes,
+)
 
 
 def test_model_validation():
@@ -110,6 +114,41 @@ def test_overlap_route_matches_closed_form():
                 model = NoisyQpeModel(kind, m, eta)
                 numeric = fourier_bound_from_overlap(overlap_function(model))
                 assert abs(numeric.bound_bits - chi_closed_form(model)) < 1e-10
+
+
+def _array_chi(kind, m, eta):
+    """chi by the array formula the scalar one replaced: numpy's power for
+    every x_j at once, numpy's log in each binary entropy."""
+    p = 2.0 ** np.arange(m, dtype=float)
+    y = eta**p
+    xs = {"dephasing": eta ** (2.0 * p) / 2.0,
+          "amplitude-damping": y / (4.0 - 2.0 * y),
+          "erasure": y / 2.0}[kind]
+    total = 0.0
+    for x in xs:
+        h = 0.0
+        if x > 0.0:
+            h -= x * np.log(x)
+        if x < 1.0:
+            h -= (1.0 - x) * np.log(1.0 - x)
+        total += float(h / np.log(2.0))
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.sampled_from(CHANNEL_KINDS), hst.integers(1, 12),
+       hst.floats(0.0, 1.0))
+def test_scalar_chi_matches_fft_oracle_and_array_formula(kind, m, eta):
+    """The O(M) scalar chi equals the entropy of the overlap's FFT
+    spectrum on k = 0..2^M - 1 within 1e-12 bits, and the former array
+    formula to roundoff: numpy's SIMD log and power differ from libm's in
+    the last bit, and one ulp of a chi near 12 bits is 1.8e-15."""
+    model = NoisyQpeModel(kind, m, eta)
+    chi = chi_closed_form(model)
+    _, coeffs = fourier_modes(overlap_function(model), (0, 2**m - 1))
+    spectrum = entropy_bits_of_weights(np.clip(coeffs.real, 0.0, None))
+    assert abs(chi - spectrum) < 1e-12
+    assert abs(chi - _array_chi(kind, m, eta)) <= 1e-15 * max(1.0, chi)
 
 
 def test_overlap_function_product_form():

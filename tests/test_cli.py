@@ -879,6 +879,46 @@ def test_bound_and_check_channels_do_not_import_scipy():
     assert proc.stdout.strip() == "[0, 0] []"
 
 
+def test_channel_bounds_version_and_refusals_do_not_load_numpy():
+    """numpy loads on first use: --version, the channel Fourier bounds (a
+    sum of scalar binary entropies) and inputs refused before any array
+    exists run without it; optimize loads it on demand."""
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from mibounds import cli
+
+        def run(argv):
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    return cli.main(argv)
+                except SystemExit as exc:  # --version
+                    return exc.code
+
+        lean = [["--version"]]
+        lean += [["bound", "--channel", kind, "--M", m, "--eta", "0.37"]
+                 for kind in ("dephasing", "amplitude-damping", "erasure")
+                 for m in ("2", "16")]
+        lean += [["bound", "--channel", "dephasing", "--M", "0", "--eta", "0.5"],
+                 ["bound", "--channel", "dephasing", "--M", "3", "--eta", "1.5"],
+                 ["bound", "--channel", "erasure", "--M", "3", "--eta", "0.5",
+                  "--method", "fisher"],
+                 ["bound", "--M", "3", "--eta", "0.5"],
+                 ["figure", "nosuch"]]
+        codes = [run(argv) for argv in lean]
+        before = "numpy._core" in sys.modules
+        code = run(["optimize", "--N", "7"])
+        print(json.dumps([codes, before, code, "numpy._core" in sys.modules]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    codes, before, code, after = json.loads(proc.stdout)
+    assert codes == [0] * 7 + [2] * 5
+    assert not before
+    assert code == 0 and after
+
+
 def test_every_command_runs_with_scipy_blocked():
     """scipy is only a test extra (the L-BFGS-B oracle): with its import
     blocked, each command ends with its usual exit code."""

@@ -1,5 +1,6 @@
 """Grid functions, Fourier weights, and discrete-Gaussian fits."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -49,6 +50,16 @@ def test_entropy_rejects_negative_weight():
 def test_tiny_negative_weight_is_clipped():
     w = np.array([1.0, -1e-12])
     assert entropy_bits_of_weights(w) == 0.0
+
+
+def test_point_mass_entropy_is_positive_zero():
+    """A point mass has entropy +0.0, never -0.0 (which a CSV would print
+    as `-0.0`), from a 1-d call and as a row of a batched one."""
+    for w in ([1.0], [0.0, 1.0], [1.0, -1e-12]):
+        assert math.copysign(1.0, entropy_bits_of_weights(w)) == 1.0
+    rows = entropy_bits_of_weights(np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]))
+    assert [math.copysign(1.0, h) for h in rows] == [1.0, 1.0, 1.0]
+    assert rows[1] == 1.0
 
 
 def test_entropy_checks_every_row():
