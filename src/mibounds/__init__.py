@@ -11,6 +11,7 @@ from .bounds import (
     companion_bound_comparison,
     entropic_uncertainty_check,
     fisher_bound,
+    fisher_bound_from_model,
     fisher_profile,
     fourier_bound_from_overlap,
     fourier_bound_from_states,
@@ -46,11 +47,7 @@ from .protocols import (
     random_seed_pair,
     two_seed_experiment,
 )
-from .qpe_strategy import (
-    block_size_crossing,
-    enhancement_term,
-    optimal_block_size,
-)
+from .qpe_strategy import enhancement_term
 from .checks import CheckResult, run_suite
 from .figures import FIGURES, FigureData
 from .svgplot import render_line_plot

@@ -9,6 +9,10 @@ measurement of a phase-encoded family |psi_phi> under a prior p(phi):
 * the Fisher route: bound the spectrum's second moment by
   sigma^2 = (L^2 / 16 pi^2) * integral [pdot^2/p + p F] dphi and use the
   max-entropy envelope, I <= 0.5 log2(1 + 2 pi e sigma^2) - log2 L + H(phi).
+  fisher_bound is that curve for a given sigma^2 under the uniform
+  period-1 prior, a scalar closed form; an outcome model goes through
+  sigma_squared and fisher_bound_from_model, which adds its prior's
+  -log2 L + H(phi).
 
 A matching asymptotic lower bound for maximum-likelihood estimation and
 an entropic uncertainty check for number/phase pairs live here too.
@@ -69,7 +73,7 @@ class PriorDensity(PeriodicGridFunction):
         object.__setattr__(self, "values", np.clip(self.values, 0.0, None))
 
     @classmethod
-    def uniform(cls, period=1.0, n_grid=4096):
+    def uniform(cls, period, n_grid):
         return cls(period, np.full(n_grid, 1.0 / period))
 
 
@@ -294,52 +298,35 @@ def fisher_profile(model: EstimationModel):
     return PeriodicGridFunction(model.prior.period, terms.sum(axis=1))
 
 
-def sigma_squared(prior: PriorDensity, model: EstimationModel = None,
-                  fisher_avg: float = None):
-    """Second-moment budget (L^2 / 16 pi^2) integral [pdot^2/p + p F] dphi.
+def sigma_squared(model: EstimationModel) -> float:
+    """Second-moment budget (L^2 / 16 pi^2) integral [pdot^2/p + p F] dphi
+    of an outcome model, on the grid and prior of model.prior.
 
-    Exactly one of `model` (full outcome model) or `fisher_avg` (constant
-    Fisher information) must describe the measurement. Returns
-    (sigma2, flags); a detected discontinuity or divergence yields
-    (inf, ("divergent",)) instead of a huge finite number.
+    A grid-scale step in the prior or an outcome column, or a zero
+    approached with nonzero slope, gives inf (divergent) instead of a
+    huge finite number.
     """
-    if (model is None) == (fisher_avg is None):
-        raise ValidationError("pass exactly one of model or fisher_avg")
+    prior = model.prior
     h = prior.period / prior.n_grid
     p = prior.values
-    flags = ()
     if _has_step_discontinuity(p):
-        return float("inf"), ("divergent",)
+        return float("inf")
     try:
         prior_term = float(_quotient_terms(p[:, None], h).sum() * h)
+        fvals = fisher_profile(model).values
     except DivergenceError:
-        return float("inf"), ("divergent",)
-    if fisher_avg is not None:
-        if fisher_avg < 0.0:
-            raise DomainError("fisher_avg must be nonnegative")
-        fisher_term = float(fisher_avg)
-    else:
-        if model.prior is not prior and (
-            model.prior.n_grid != prior.n_grid
-            or abs(model.prior.period - prior.period) > 1e-12
-        ):
-            raise ValidationError("model grid does not match the prior grid")
-        try:
-            fvals = fisher_profile(model).values
-        except DivergenceError:
-            return float("inf"), ("divergent",)
-        fisher_term = float((p * fvals).sum() * h)
-    total = prior_term + fisher_term
-    sigma2 = prior.period**2 / (16.0 * np.pi**2) * total
-    return float(sigma2), flags
+        return float("inf")
+    total = prior_term + float((p * fvals).sum() * h)
+    return float(prior.period**2 / (16.0 * math.pi**2) * total)
 
 
-def fisher_bound(prior: PriorDensity, model: EstimationModel = None,
-                 fisher_avg: float = None, sigma2: float = None) -> BoundReport:
-    """Fisher-route upper bound 0.5 log2(1+2 pi e sigma^2) - log2 L + H(phi).
+def fisher_bound(sigma2: float) -> BoundReport:
+    """Fisher-route bound 0.5 log2(1 + 2 pi e sigma^2) under the uniform
+    period-1 prior, where -log2 L + H(phi) = 0.
 
-    sigma^2 may be passed directly (already in spectral units) or derived
-    from a model / constant Fisher information via sigma_squared.
+    sigma^2 is in spectral units; a constant Fisher information F gives
+    sigma^2 = F / (16 pi^2). An infinite (or NaN) sigma^2 gives an
+    infinite bound flagged "divergent".
 
     bound_bits is always the paper's curve. That curve bounds the spectrum
     entropy only where it is at least H*(sigma^2), the largest entropy an
@@ -347,36 +334,33 @@ def fisher_bound(prior: PriorDensity, model: EstimationModel = None,
     discrete_gaussian_fit). For sigma below about 0.034 it is not, and the
     report carries the flag "below_max_entropy_envelope".
     """
-    flags = ()
-    if sigma2 is None:
-        sigma2, flags = sigma_squared(prior, model=model, fisher_avg=fisher_avg)
-    elif model is not None or fisher_avg is not None:
-        raise ValidationError("pass sigma2 alone, or model/fisher_avg")
-    elif sigma2 < 0.0:
+    if sigma2 < 0.0:
         raise DomainError("sigma2 must be nonnegative")
     if not math.isfinite(sigma2):
-        return BoundReport(
-            method="fisher",
-            bound_bits=float("inf"),
-            prior_entropy_bits=float(prior.entropy_bits),
-            sigma2=float("inf"),
-            flags=tuple(flags) or ("divergent",),
-        )
-    curve = 0.5 * np.log2(1.0 + TWO_PI * np.e * sigma2)
+        return BoundReport(method="fisher", bound_bits=float("inf"),
+                           prior_entropy_bits=0.0, sigma2=float("inf"),
+                           flags=("divergent",))
+    curve = 0.5 * math.log2(1.0 + TWO_PI * math.e * sigma2)
     # measured, the curve exceeds H* for every sigma >= 0.5, still by
     # 4.2e-8 bits at sigma = 1e3 (the margin tends to 1/(2 pi e sigma^2 ln 4));
-    # so solving only below sigma = 1 misses no flag and keeps a huge sigma
-    # (M = 30) away from the solver's support cap
+    # so solving only below sigma = 1 misses no flag, keeps a huge sigma
+    # (M = 30) away from the solver's support cap and numpy unloaded
+    flags = ()
     if sigma2 < 1.0 and discrete_gaussian_fit(sigma2)[1] > curve:
-        flags = flags + ("below_max_entropy_envelope",)
-    bound = curve - np.log2(prior.period) + prior.entropy_bits
-    return BoundReport(
-        method="fisher",
-        bound_bits=float(bound),
-        prior_entropy_bits=float(prior.entropy_bits),
-        sigma2=float(sigma2),
-        flags=tuple(flags),
-    )
+        flags = ("below_max_entropy_envelope",)
+    return BoundReport(method="fisher", bound_bits=curve,
+                       prior_entropy_bits=0.0, sigma2=float(sigma2),
+                       flags=flags)
+
+
+def fisher_bound_from_model(model: EstimationModel) -> BoundReport:
+    """Fisher-route bound of an outcome model: fisher_bound of its
+    sigma_squared, shifted by -log2 L + H(phi) of its prior."""
+    prior = model.prior
+    report = fisher_bound(sigma_squared(model))
+    bound = report.bound_bits - np.log2(prior.period) + prior.entropy_bits
+    return replace(report, bound_bits=float(bound),
+                   prior_entropy_bits=float(prior.entropy_bits))
 
 
 def _next_even(n):

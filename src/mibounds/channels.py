@@ -117,8 +117,8 @@ def dephasing_qfi(model: NoisyQpeModel) -> float:
             "the Fisher route needs the channel Fisher information, "
             "available for dephasing only"
         )
-    j = np.arange(model.n_qubits, dtype=float)
-    return float((2.0 * np.pi) ** 2 * (4.0**j * model.eta ** (2.0**j)).sum())
+    return (2.0 * math.pi) ** 2 * sum(4.0**j * model.eta ** (2.0**j)
+                                      for j in range(model.n_qubits))
 
 
 def _factor_states(model: NoisyQpeModel, phis):

@@ -162,9 +162,9 @@ def entropy_concavity(rng):
 
 @_check("bounds")
 def fisher_closed_form():
-    """Fisher route on the exactly solvable constant-Fisher model."""
-    rep = fisher_bound(PriorDensity.uniform(1.0, 4096),
-                       fisher_avg=4.0 * np.pi**2)
+    """Fisher route on the exactly solvable constant-Fisher model: F =
+    4 pi^2 under the uniform prior is sigma^2 = F / (16 pi^2) = 1/4."""
+    rep = fisher_bound(0.25)
     expected = 0.5 * np.log2(1.0 + np.e * np.pi / 2.0)
     return (abs(rep.bound_bits - expected) < 1e-12,
             f"bound {rep.bound_bits:.12f} vs {expected:.12f}")
@@ -178,8 +178,8 @@ def sigma2_cosine_model():
     cond = np.stack(
         [np.cos(np.pi * phis) ** 2, np.sin(np.pi * phis) ** 2], axis=1
     )
-    s2, flags = sigma_squared(prior, model=EstimationModel(prior, cond))
-    return abs(s2 - 0.25) < 1e-5 and not flags, f"sigma2 {s2:.8f}"
+    s2 = sigma_squared(EstimationModel(prior, cond))
+    return abs(s2 - 0.25) < 1e-5, f"sigma2 {s2:.8f}"
 
 
 @_check("bounds")
@@ -191,10 +191,7 @@ def fourier_below_fisher(ms=(1, 2, 3), n_grid=None):
             for eta in (0.25, 0.5, 0.75, 1.0):
                 fr = fourier_bound_from_overlap(
                     overlap_function(NoisyQpeModel(kind, m, eta), n_grid))
-                fb = fisher_bound(
-                    PriorDensity.uniform(1.0, 512),
-                    sigma2=fr.spectrum.second_moment(),
-                )
+                fb = fisher_bound(fr.spectrum.second_moment())
                 worst = min(worst, fb.bound_bits - fr.bound_bits)
     return worst > -1e-9, f"min fisher-fourier gap {worst:.3e} bits"
 
@@ -211,10 +208,9 @@ def companion_ordering():
 
 
 @_check("bounds")
-def mle_gap_limit(n_grid=4096):
+def mle_gap_limit():
     """The Fisher-MLE gap falls strictly to within 0.01 bits of log2(e/2)."""
-    prior = PriorDensity.uniform(1.0, n_grid)
-    gaps = [fisher_bound(prior, fisher_avg=nf).bound_bits
+    gaps = [fisher_bound(nf / (16.0 * np.pi**2)).bound_bits
             - mle_lower_bound(nf).bound_bits
             for nf in (1e2, 1e3, 1e4, 1e5, 1e6)]
     falling = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))

@@ -23,6 +23,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import os
 import sys
 from collections import namedtuple
@@ -37,6 +38,7 @@ from .bounds import (
     EstimationModel,
     PriorDensity,
     fisher_bound,
+    fisher_bound_from_model,
     fourier_bound_from_overlap,
 )
 from .channels import (
@@ -72,9 +74,9 @@ def _parse_bool(text) -> bool:
 def _format_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
         return repr(float(v))
     return str(v)
 
@@ -126,28 +128,22 @@ def _emit(payload, command, seed, out):
 
 
 def _read_table(path):
-    """Numeric CSV (optional header, `#` comments) -> (names, columns)."""
-    names = None
+    """Numeric CSV (optional header, `#` comments) -> columns."""
+    lines = [raw.strip() for raw in _read_text(path).splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
     rows = []
-    for raw in _read_text(path).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = [c.strip() for c in line.split(",")]
+    for i, line in enumerate(lines):
         try:
-            rows.append([float(c) for c in cells])
+            rows.append([float(c) for c in line.split(",")])
         except ValueError:
-            if names is None and not rows:
-                names = cells
-            else:
+            if i > 0:  # only the first line may be a header
                 raise ValidationError(f"{path}: non-numeric row {line!r}")
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValidationError(f"{path}: ragged rows")
-    data = np.asarray(rows, dtype=float)
-    return names, data
+    return np.asarray(rows, dtype=float)
 
 
 def _uniform_grid_period(phis, path):
@@ -190,13 +186,13 @@ def cmd_bound(args, command):
                 prior_entropy_bits=0.0, tail_mass_bound=0.0,
             )
         else:
-            # the Fisher information first: a channel without one is
-            # refused before the prior allocates anything. The uniform
-            # prior's term and entropy are 0 on any grid
-            fisher_avg = dephasing_qfi(model)
-            report = fisher_bound(PriorDensity.uniform(), fisher_avg=fisher_avg)
+            # a constant Fisher information F under the uniform prior:
+            # sigma^2 = F / (16 pi^2), rounded as sigma_squared's
+            # L^2 / (16 pi^2) * F at L = 1, and the prior adds nothing
+            report = fisher_bound(1.0 / (16.0 * math.pi**2)
+                                  * dephasing_qfi(model))
     elif args.overlap:
-        _, data = _read_table(args.overlap)
+        data = _read_table(args.overlap)
         if data.shape[1] < 2:
             raise ValidationError("overlap file needs phi and re[,im] columns")
         period = _uniform_grid_period(data[:, 0], args.overlap)
@@ -204,13 +200,12 @@ def cmd_bound(args, command):
         f = PeriodicGridFunction(period, vals.astype(complex))
         report = fourier_bound_from_overlap(f)
     else:
-        _, data = _read_table(args.model)
+        data = _read_table(args.model)
         if data.shape[1] < 2:
             raise ValidationError("model file needs phi plus outcome columns")
         period = _uniform_grid_period(data[:, 0], args.model)
         prior = PriorDensity.uniform(period, data.shape[0])
-        est = EstimationModel(prior, data[:, 1:])
-        report = fisher_bound(prior, model=est)
+        report = fisher_bound_from_model(EstimationModel(prior, data[:, 1:]))
 
     # bound draws no random numbers; the report keeps its seed field
     _emit(report.to_json_dict(), command, None, args.out)

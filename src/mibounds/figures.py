@@ -13,7 +13,11 @@ from dataclasses import dataclass
 from ._lazy import np
 from .channels import NoisyQpeModel, chi_closed_form
 from .errors import DomainError, ValidationError
-from .numerics import check_periodic_grid, gaussian_entropy_vs_bound
+from .numerics import (
+    check_periodic_grid,
+    check_points,
+    gaussian_entropy_vs_bound,
+)
 from .protocols import EntangledState, covariant_posterior, optimize_en_state
 from .qpe_strategy import enhancement_term
 
@@ -35,16 +39,26 @@ def _eta_sweep(name, title, value, M_max, eta_min, eta_max, n_eta):
     row per point and one line per M."""
     if M_max < 1:
         raise ValidationError("M_max must be at least 1")
-    # checked before linspace, which warns on an infinite end; fails on NaN
+    # fails on NaN
     if not (0.0 <= eta_min <= 1.0 and 0.0 <= eta_max <= 1.0):
         raise DomainError("eta must lie in [0, 1]")
-    etas = np.linspace(float(eta_min), float(eta_max), int(n_eta))
+    n = int(n_eta)
+    check_points(n, "n_eta")
+    # np.linspace's arithmetic, so the etas are its values bit for bit: a
+    # step that underflows to 0 scales i / div by the span instead
+    eta_min, eta_max = float(eta_min), float(eta_max)
+    div = max(n - 1, 1)
+    span = eta_max - eta_min
+    step = span / div
+    etas = [(i * step if step else i / div * span) + eta_min for i in range(n)]
+    if n > 1:
+        etas[-1] = eta_max
     rows = []
     series = []
     for m in range(1, int(M_max) + 1):
-        vals = [value(m, float(e)) for e in etas]
-        rows.extend((float(e), m, float(v)) for e, v in zip(etas, vals))
-        series.append((f"M={m}", list(etas), vals))
+        vals = [value(m, e) for e in etas]
+        rows.extend((e, m, float(v)) for e, v in zip(etas, vals))
+        series.append((f"M={m}", etas, vals))
     return [FigureData(name=name, columns=("eta", "M", "value_bits"),
                        rows=tuple(rows), series=tuple(series), title=title,
                        x_label="eta", y_label="bits")]
@@ -72,6 +86,7 @@ def figure_b_sigma(sigma_min=1e-2, sigma_max=1e2, n_sigma=200):
     # an infinite end would make logspace warn before the fit rejects it
     if not 0.0 < sigma_min < sigma_max < np.inf:
         raise ValidationError("need 0 < sigma_min < sigma_max < inf")
+    check_points(int(n_sigma), "n_sigma")
     sigmas = np.logspace(np.log10(float(sigma_min)), np.log10(float(sigma_max)),
                          int(n_sigma))
     table = gaussian_entropy_vs_bound(sigmas)

@@ -2,13 +2,16 @@
 
 Each test prints `criterion NN <name>: PASS/FAIL (...)` and then asserts,
 so the pytest report carries exactly one pass/fail line per criterion.
-Criteria 01-07, 09 and 11 run a check of the `mibounds.checks` registry
-on their own, larger domain; each keeps only its time budget, its line
-and its assert, so every invariant and threshold is written once, in the
-registry. Criterion 10 adds a states-versus-overlap route comparison to
-the registry's fourier_below_fisher check. Criterion 08 is written here
-on top of `mibounds.qpe_strategy`: it calls enhancement_term,
-block_size_crossing and optimal_block_size rather than its own argmax.
+Criteria 01-07, 09 and 11 run a check of the `mibounds.checks` registry,
+each but 04 on its own, larger domain; each keeps only its time budget,
+its line and its assert, so every invariant and threshold is written
+once, in the registry. Criterion 04 runs mle_gap_limit as `check` does:
+the Fisher bound is a closed form in sigma^2, with no grid to widen.
+Criterion 10 adds a states-versus-overlap route comparison to the
+registry's fourier_below_fisher check. Criterion 08 is written here on
+top of `mibounds.qpe_strategy.enhancement_term`; block_size_crossing and
+optimal_block_size, which no command reaches, live beside the tests in
+tests/block_size.py, shared with test_qpe_strategy.py.
 Criterion 12 runs `figure` and `check` twice through the CLI. Criterion 03 fails by design: the reference curve
 0.5*log2(1+2 pi e s^2) genuinely dips below the max-entropy spectrum
 entropy for sigma under about 0.034, and the scan reports that instead of
@@ -19,6 +22,7 @@ import time
 
 import numpy as np
 
+from block_size import block_size_crossing, optimal_block_size
 from mibounds import checks
 from mibounds.bounds import (
     PriorDensity,
@@ -33,11 +37,7 @@ from mibounds.channels import (
     purified_state_family,
 )
 from mibounds.cli import main
-from mibounds.qpe_strategy import (
-    block_size_crossing,
-    enhancement_term,
-    optimal_block_size,
-)
+from mibounds.qpe_strategy import enhancement_term
 
 
 def _verdict(number, name, passed, detail):
@@ -82,8 +82,9 @@ def test_criterion_03_entropy_under_reference_curve():
 
 
 def test_criterion_04_mle_gap_limit():
-    """Upper-lower gap falls strictly to log2(e/2) on a 2048-point prior."""
-    _criterion(4, "gap-convergence", None, checks.mle_gap_limit, n_grid=2048)
+    """Upper-lower gap falls strictly to log2(e/2) as the Fisher
+    information grows."""
+    _criterion(4, "gap-convergence", None, checks.mle_gap_limit)
 
 
 def test_criterion_05_companion_bound_ordering():

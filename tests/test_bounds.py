@@ -19,6 +19,7 @@ from mibounds.bounds import (
     companion_bound_comparison,
     entropic_uncertainty_check,
     fisher_bound,
+    fisher_bound_from_model,
     fisher_profile,
     fourier_bound_from_overlap,
     fourier_bound_from_states,
@@ -55,31 +56,10 @@ def test_prior_density_validation():
     assert abs(PriorDensity.uniform(2.0, 64).entropy_bits - 1.0) < 1e-12
 
 
-def test_sigma_squared_constant_fisher():
-    # uniform prior: sigma^2 = L^2 F / (16 pi^2) exactly
-    prior = PriorDensity.uniform(1.0, 1024)
-    for fval in (1.0, 4.0 * np.pi**2, 333.0):
-        s2, flags = sigma_squared(prior, fisher_avg=fval)
-        assert abs(s2 - fval / (16.0 * np.pi**2)) < 1e-12
-        assert flags == ()
-
-
-def test_sigma_squared_requires_one_source():
-    prior = PriorDensity.uniform(1.0, 64)
-    with pytest.raises(ValidationError):
-        sigma_squared(prior)
-    with pytest.raises(ValidationError):
-        sigma_squared(
-            prior,
-            model=EstimationModel(prior, np.ones((64, 1))),
-            fisher_avg=1.0,
-        )
-
-
 def test_fisher_bound_constant_fisher_closed_form():
-    """F = 4 pi^2 with the uniform prior gives 0.5*log2(1 + e pi / 2)."""
-    prior = PriorDensity.uniform(1.0, 4096)
-    rep = fisher_bound(prior, fisher_avg=4.0 * np.pi**2)
+    """F = 4 pi^2 with the uniform prior, sigma^2 = F / (16 pi^2), gives
+    0.5*log2(1 + e pi / 2)."""
+    rep = fisher_bound(4.0 * np.pi**2 / (16.0 * np.pi**2))
     expected = 0.5 * np.log2(1.0 + np.e * np.pi / 2.0)
     assert abs(rep.bound_bits - expected) < 1e-12
     assert abs(rep.bound_bits - 1.1988832911558522) < 1e-12
@@ -88,12 +68,16 @@ def test_fisher_bound_constant_fisher_closed_form():
 
 
 def test_fisher_bound_monotone_in_fisher():
-    prior = PriorDensity.uniform(1.0, 512)
     values = [
-        fisher_bound(prior, fisher_avg=f).bound_bits
+        fisher_bound(f / (16.0 * np.pi**2)).bound_bits
         for f in np.logspace(-1, 4, 12)
     ]
     assert all(b2 > b1 for b1, b2 in zip(values, values[1:]))
+
+
+def test_fisher_bound_refuses_negative_sigma2():
+    with pytest.raises(DomainError):
+        fisher_bound(-1e-12)
 
 
 @pytest.mark.parametrize("sigma,flagged", [(0.02, True), (0.05, False)])
@@ -101,9 +85,8 @@ def test_fisher_bound_flags_curve_below_max_entropy_envelope(sigma, flagged):
     """Below sigma ~ 0.034 the discrete Gaussian with second moment sigma^2
     carries more entropy than 0.5*log2(1 + 2 pi e sigma^2); the report says
     so and still returns the curve."""
-    prior = PriorDensity.uniform(1.0, 512)
-    rep = fisher_bound(prior, sigma2=sigma * sigma)
-    curve = 0.5 * np.log2(1.0 + 2.0 * np.pi * np.e * sigma * sigma)
+    rep = fisher_bound(sigma * sigma)
+    curve = 0.5 * math.log2(1.0 + 2.0 * math.pi * math.e * sigma * sigma)
     assert rep.bound_bits == curve
     assert rep.flags == (("below_max_entropy_envelope",) if flagged else ())
 
@@ -115,9 +98,7 @@ def test_sigma_squared_cosine_model():
     cond = np.stack(
         [np.cos(np.pi * phis) ** 2, np.sin(np.pi * phis) ** 2], axis=1
     )
-    s2, flags = sigma_squared(prior, model=EstimationModel(prior, cond))
-    assert abs(s2 - 0.25) < 1e-5
-    assert flags == ()
+    assert abs(sigma_squared(EstimationModel(prior, cond)) - 0.25) < 1e-5
 
 
 def test_fisher_profile_of_cosine_model_is_constant():
@@ -151,14 +132,27 @@ def test_fisher_profile_rejects_sloped_zero():
 
 
 def test_sigma_squared_flags_divergent_prior():
+    """A step prior diverges even when no outcome depends on phi."""
     vals = np.where(np.arange(512) < 256, 2.0, 0.0)
-    prior = PriorDensity(1.0, vals)
-    s2, flags = sigma_squared(prior, fisher_avg=1.0)
-    assert math.isinf(s2)
-    assert flags == ("divergent",)
-    rep = fisher_bound(prior, fisher_avg=1.0)
-    assert math.isinf(rep.bound_bits)
-    assert "divergent" in rep.flags
+    model = EstimationModel(PriorDensity(1.0, vals), np.ones((512, 1)))
+    assert math.isinf(sigma_squared(model))
+    rep = fisher_bound_from_model(model)
+    assert math.isinf(rep.bound_bits) and math.isinf(rep.sigma2)
+    assert rep.flags == ("divergent",)
+    assert rep.prior_entropy_bits == model.prior.entropy_bits
+
+
+def test_fisher_bound_from_model_shifts_by_the_prior():
+    """On a period-L uniform prior, -log2 L + H(phi) = 0: the model route
+    is fisher_bound of its sigma^2, with the prior entropy log2 L."""
+    prior = PriorDensity.uniform(2.0, 1024)
+    p1 = np.cos(np.pi * prior.grid / 2.0) ** 2
+    model = EstimationModel(prior, np.stack([p1, 1.0 - p1], axis=1))
+    rep = fisher_bound_from_model(model)
+    plain = fisher_bound(sigma_squared(model))
+    assert abs(rep.bound_bits - plain.bound_bits) < 1e-12
+    assert rep.sigma2 == plain.sigma2 and rep.flags == plain.flags
+    assert abs(rep.prior_entropy_bits - 1.0) < 1e-12
 
 
 def test_fourier_bound_of_binary_superposition():
@@ -348,8 +342,7 @@ def test_states_route_matches_chi_closed_form(kind, n_qubits, eta, extra):
 
 
 def test_bound_report_json_schema():
-    prior = PriorDensity.uniform(1.0, 256)
-    rep = fisher_bound(prior, fisher_avg=1.0)
+    rep = fisher_bound(1.0 / (16.0 * np.pi**2))
     d = rep.to_json_dict()
     assert set(d) == {
         "method",
@@ -368,10 +361,9 @@ def test_bound_report_json_schema():
 
 def test_mle_gap_shrinks_to_limit():
     """fisher_bound - mle_lower_bound falls monotonically to log2(e/2)."""
-    prior = PriorDensity.uniform(1.0, 1024)
     gaps = []
     for nf in (1e2, 1e3, 1e4, 1e5, 1e6):
-        upper = fisher_bound(prior, fisher_avg=nf)
+        upper = fisher_bound(nf / (16.0 * np.pi**2))
         lower = mle_lower_bound(nf)
         gaps.append(upper.bound_bits - lower.bound_bits)
     assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))

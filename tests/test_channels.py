@@ -179,6 +179,18 @@ def test_dephasing_qfi_values():
         assert abs(dephasing_qfi(model) - want) < 1e-6 * want
 
 
+@settings(max_examples=300, deadline=None)
+@given(m=hst.integers(1, 30), eta=hst.floats(0.0, 1.0))
+def test_dephasing_qfi_scalar_sum_matches_array_formula(m, eta):
+    """The scalar sum agrees with the numpy array formula it replaced,
+    (2 pi)^2 sum of 4^j eta^(2^j) over j = arange(M), within 1e-15
+    relative: only the order of the additions and the pow differ."""
+    j = np.arange(m, dtype=float)
+    want = float((2.0 * np.pi) ** 2 * (4.0**j * eta ** (2.0**j)).sum())
+    got = dephasing_qfi(NoisyQpeModel("dephasing", m, eta))
+    assert abs(got - want) <= 1e-15 * want
+
+
 def test_dephasing_qfi_validation():
     """Only the dephasing channel has a Fisher information; M and eta are
     checked once, by NoisyQpeModel (test_model_validation)."""

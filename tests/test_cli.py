@@ -557,11 +557,11 @@ def test_figure_entropy2_grid_is_the_optimizer_grid(capsys, tmp_path,
     code, _, _ = run_cli(capsys, "optimize", *common, "--out", str(report_path))
     assert code == 0 and len(calls) == 4
     report = json.loads(report_path.read_text(encoding="utf-8"))
-    weights = cli._read_table(tmp_path / "entropy2_weights.csv")[1][:, 2]
+    weights = cli._read_table(tmp_path / "entropy2_weights.csv")[:, 2]
     want = np.array(report["coefficients"]) ** 2
     assert np.max(np.abs(weights - want)) <= 1e-15
     assert abs(weights[0] - 0.1777706) < 1e-6
-    assert cli._read_table(tmp_path / "entropy2.csv")[1].shape == (8, 3)
+    assert cli._read_table(tmp_path / "entropy2.csv").shape == (8, 3)
 
 
 def test_figure_entropy2_records_the_seed_it_ran_with(capsys, tmp_path):
@@ -838,17 +838,22 @@ def address_space_headroom(n_bytes):
     ["optimize", "--N", "1000000000"],
     ["figure", "entropy2", "--grid", "1000000000"],
     ["figure", "entropy2", "--N", "1000000000"],
+    ["figure", "chi_qpe", "--n-eta", "1000000000"],
+    ["figure", "transition", "--n-eta", "1000000000"],
+    ["figure", "b_sigma", "--n-sigma", "1000000000"],
 ])
 def test_grid_over_the_cap_exits_two_before_allocating(capsys, tmp_path,
                                                        monkeypatch, argv):
     """These asked numpy for 6 GiB or more and ended in a MemoryError
     traceback (exit 1); a grid above MAX_POINTS, given or implied by --N
-    or --n-max, is bad input, refused before any grid-sized array exists."""
+    or --n-max, is bad input, refused before any grid-sized array exists,
+    and a figure so refused writes no file."""
     monkeypatch.chdir(tmp_path)
     with address_space_headroom(1 << 30):
         code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert f"exceeds the {MAX_POINTS}-point cap" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_module_entry_point():
@@ -879,10 +884,11 @@ def test_bound_and_check_channels_do_not_import_scipy():
     assert proc.stdout.strip() == "[0, 0] []"
 
 
-def test_channel_bounds_version_and_refusals_do_not_load_numpy():
+def test_channel_bounds_version_and_refusals_do_not_load_numpy(tmp_path):
     """numpy loads on first use: --version, the channel Fourier bounds (a
-    sum of scalar binary entropies) and inputs refused before any array
-    exists run without it; optimize loads it on demand."""
+    sum of scalar binary entropies), the chi_qpe and transition figures
+    (scalar closed forms on a list of etas) and inputs refused before any
+    array exists run without it; optimize loads it on demand."""
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from mibounds import cli
@@ -905,16 +911,19 @@ def test_channel_bounds_version_and_refusals_do_not_load_numpy():
                   "--method", "fisher"],
                  ["bound", "--M", "3", "--eta", "0.5"],
                  ["figure", "nosuch"]]
+        lean += [["figure", "chi_qpe", "--svg"], ["figure", "transition", "--svg"]]
         codes = [run(argv) for argv in lean]
         before = "numpy._core" in sys.modules
         code = run(["optimize", "--N", "7"])
         print(json.dumps([codes, before, code, "numpy._core" in sys.modules]))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=src_env())
+                          text=True, env=src_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     codes, before, code, after = json.loads(proc.stdout)
-    assert codes == [0] * 7 + [2] * 5
+    assert codes == [0] * 7 + [2] * 5 + [0] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "chi_qpe.csv", "chi_qpe.svg", "transition.csv", "transition.svg"]
     assert not before
     assert code == 0 and after
 

@@ -4,6 +4,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from mibounds.checks import SUITES, run_suite
 from mibounds.errors import ValidationError
@@ -32,6 +34,24 @@ def test_chi_qpe_dataset():
         if eta == 0.0:
             assert value == 0.0
     assert len(fig.series) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(eta_min=hst.floats(0.0, 1.0), eta_max=hst.floats(0.0, 1.0),
+       n_eta=hst.integers(1, 40))
+@example(eta_min=0.2, eta_max=0.7, n_eta=1)
+@example(eta_min=0.3, eta_max=0.3, n_eta=5)
+@example(eta_min=-0.0, eta_max=0.0, n_eta=3)
+@example(eta_min=0.9, eta_max=0.1, n_eta=7)
+@example(eta_min=0.0, eta_max=5e-324, n_eta=4)  # the step underflows to 0
+def test_eta_grid_is_linspace_bit_for_bit(eta_min, eta_max, n_eta):
+    """chi_qpe and transition sweep eta on np.linspace's values, built
+    without numpy: every eta has the same bits."""
+    (fig,) = figure_chi_qpe(M_max=1, eta_min=eta_min, eta_max=eta_max,
+                            n_eta=n_eta)
+    want = np.linspace(eta_min, eta_max, n_eta).tolist()
+    assert [eta.hex() for eta, _, _ in fig.rows] == [e.hex() for e in want]
+    assert all(type(eta) is float for eta, _, _ in fig.rows)
 
 
 def test_transition_dataset():

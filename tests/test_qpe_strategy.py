@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
+from block_size import block_size_crossing, optimal_block_size
 from mibounds.errors import DomainError, ValidationError
-from mibounds.qpe_strategy import (
-    block_size_crossing,
-    enhancement_term,
-    optimal_block_size,
-)
+from mibounds.qpe_strategy import enhancement_term
 
 
 def test_enhancement_noiseless_single_qubit():
