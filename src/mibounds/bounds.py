@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import (
+    LN2,
     TWO_PI,
     FourierSpectrum,
     PeriodicGridFunction,
@@ -81,6 +82,8 @@ class PriorDensity(PeriodicGridFunction):
 class StateFamily:
     """Pure states |psi_phi> sampled on a period-L grid, one row per phi.
 
+    Weights see the family only through <psi_phi|psi_phi'>, so a fixed
+    isometry of every state (as in purified_state_family) changes no bound.
     A complex128 array is kept without a copy, in its own memory layout,
     and validated in O(grid) extra memory. Column-major states (one
     contiguous column per state dimension, as purified_state_family
@@ -340,7 +343,8 @@ def fisher_bound(sigma2: float) -> BoundReport:
         return BoundReport(method="fisher", bound_bits=float("inf"),
                            prior_entropy_bits=0.0, sigma2=float("inf"),
                            flags=("divergent",))
-    curve = 0.5 * math.log2(1.0 + TWO_PI * math.e * sigma2)
+    # log1p keeps a tiny sigma2's precision, which log2(1 + x) rounds away
+    curve = 0.5 * math.log1p(TWO_PI * math.e * sigma2) / LN2
     # measured, the curve exceeds H* for every sigma >= 0.5, still by
     # 4.2e-8 bits at sigma = 1e3 (the margin tends to 1/(2 pi e sigma^2 ln 4));
     # so solving only below sigma = 1 misses no flag, keeps a huge sigma
@@ -486,11 +490,11 @@ def companion_bound_comparison(fisher: float):
     """
     if fisher < 0.0:
         raise DomainError("fisher must be nonnegative")
-    ratio = np.e / (8.0 * np.pi)
-    fisher_form = 0.5 * np.log2(1.0 + ratio * fisher)
-    sqrt_form = np.log2(1.0 + np.sqrt(ratio * fisher))
-    reference_form = np.log2(1.0 + 0.5 * np.sqrt(fisher))
-    return float(fisher_form), float(sqrt_form), float(reference_form)
+    ratio = math.e / (8.0 * math.pi)
+    fisher_form = 0.5 * math.log1p(ratio * fisher) / LN2
+    sqrt_form = math.log1p(math.sqrt(ratio * fisher)) / LN2
+    reference_form = math.log1p(0.5 * math.sqrt(fisher)) / LN2
+    return fisher_form, sqrt_form, reference_form
 
 
 def entropic_uncertainty_check(c):

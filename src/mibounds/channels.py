@@ -16,8 +16,8 @@ run factorizes over qubits as prod_j (1 - x_j + x_j e^(i 2 pi 2^j phi)),
 which makes the Fourier weights a product of binary distributions and
 the spectrum entropy a sum of binary entropies. The x_j are M Python
 floats (mode_weight_args), so chi_closed_form is O(M) scalar arithmetic
-and needs no numpy; the overlap and purified-state oracles build their
-arrays from the same x_j.
+and needs no numpy; the overlap and the purified family, two
+coordinates per qubit, build their arrays from the same x_j.
 """
 
 import math
@@ -60,15 +60,13 @@ class NoisyQpeModel:
         return 2 ** self.n_qubits - 1
 
 
-# per channel, (x_j, a^2) of qubit j's purification factor
-# a|u> + b e^(i 2 pi 2^j phi)|v> + c|w>: x_j = b^2 from eta and p = 2^j,
-# a^2 from y = eta^p, and c^2 = 1 - a^2 - b^2. Dephasing's x_j takes
-# eta^(2p) as its own power: 0.5 * y * y differs from it in the last bit.
+# per channel, x_j = b^2 of qubit j's purification factor from eta and
+# p = 2^j. Dephasing takes eta^(2p) as its own power: 0.5 * y * y with
+# y = eta^p differs from it in the last bit.
 _FACTOR_WEIGHTS = {
-    "dephasing": (lambda eta, p: eta ** (2.0 * p) / 2.0, lambda y: 0.5),
-    "amplitude-damping": (lambda eta, p: (y := eta**p) / (4.0 - 2.0 * y),
-                          lambda y: 1.0 - 0.5 * y),
-    "erasure": (lambda eta, p: eta**p / 2.0, lambda y: 0.5 * y),
+    "dephasing": lambda eta, p: eta ** (2.0 * p) / 2.0,
+    "amplitude-damping": lambda eta, p: (y := eta**p) / (4.0 - 2.0 * y),
+    "erasure": lambda eta, p: eta**p / 2.0,
 }
 
 
@@ -79,7 +77,7 @@ def mode_weight_args(model: NoisyQpeModel):
     the chi increment of qubit j is the binary entropy of x_j. Returns
     the M values as a list of floats, j = 0..M-1.
     """
-    x_fn = _FACTOR_WEIGHTS[model.kind][0]
+    x_fn = _FACTOR_WEIGHTS[model.kind]
     return [x_fn(model.eta, 2.0**j) for j in range(model.n_qubits)]
 
 
@@ -122,34 +120,31 @@ def dephasing_qfi(model: NoisyQpeModel) -> float:
 
 
 def _factor_states(model: NoisyQpeModel, phis):
-    """Each qubit's factor a|u> + b e^(i 2 pi 2^j phi)|v> + c|w>, j = 0..M-1.
+    """Qubit j's factor sqrt(1 - x_j)|0> + sqrt(x_j) e^(i 2 pi 2^j phi)|1>.
 
-    Yields (3, len(phis)) arrays, dimension-major with one column per phi.
-    The full purification lives in 4 (erasure: 6) dimensions, but only the
-    fixed orthonormal u, v, w ever carry amplitude; the other coordinates
-    are zero for every phi, so dropping them changes no <psi_phi|psi_phi'>.
+    Yields (2, len(phis)) arrays, dimension-major with one column per phi.
+    The fixed isometry |0> -> (a|u> + c|w>) / sqrt(1 - x_j), |1> -> |v>
+    maps it onto the purification a|u> + b e^(i 2 pi 2^j phi)|v> + c|w>
+    (b^2 = x_j), so no overlap, and no spectral weight, changes.
     """
-    a2_fn = _FACTOR_WEIGHTS[model.kind][1]
-    for j, b2 in enumerate(mode_weight_args(model)):
-        a2 = a2_fn(model.eta ** (2.0**j))
-        out = np.empty((3, phis.size), dtype=complex)
-        out[0] = math.sqrt(a2)
-        out[1] = math.sqrt(b2) * np.exp(1j * 2.0 * np.pi * (2**j) * phis)
-        out[2] = math.sqrt(max(0.0, 1.0 - a2 - b2))
+    for j, x in enumerate(mode_weight_args(model)):
+        out = np.empty((2, phis.size), dtype=complex)
+        out[0] = math.sqrt(1.0 - x)
+        out[1] = math.sqrt(x) * np.exp(1j * 2.0 * np.pi * (2**j) * phis)
         yield out
 
 
 def purified_state_family(model: NoisyQpeModel, phis):
     """Explicit tensor-product purified states |psi_phi>, one row per phi.
 
-    Each qubit keeps only its 3-dimensional span (_factor_states), so the
-    array is (len(phis), 3^M), the last qubit's index running fastest;
-    the dropped coordinates are zero for every phi and change no overlap,
-    norm or spectrum. It is built dimension-major and returned as the
-    transpose, so each state dimension is one contiguous column: the
-    column-block FFT of fourier_bound_from_states then reads contiguous
-    memory. Kept to M <= 6; it exists to cross-check the product overlap
-    against honest state vectors.
+    Each qubit keeps two coordinates (_factor_states), a fixed isometry of
+    its purification that changes no overlap, norm or spectrum, so the
+    array is (len(phis), 2^M), the last qubit's index running fastest.
+    It is built dimension-major and returned as the transpose, so each
+    state dimension is one contiguous column: the column-block FFT of
+    fourier_bound_from_states then reads contiguous memory. Kept to
+    M <= 6; it exists to cross-check the product overlap against honest
+    state vectors.
     """
     if model.n_qubits > 6:
         raise ValidationError("purified family construction kept to n_qubits <= 6")

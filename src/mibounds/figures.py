@@ -42,8 +42,8 @@ def _eta_sweep(name, title, value, M_max, eta_min, eta_max, n_eta):
     # fails on NaN
     if not (0.0 <= eta_min <= 1.0 and 0.0 <= eta_max <= 1.0):
         raise DomainError("eta must lie in [0, 1]")
-    n = int(n_eta)
-    check_points(n, "n_eta")
+    n, m_max = int(n_eta), int(M_max)
+    check_points(n * m_max, "n_eta x M_max rows")
     # np.linspace's arithmetic, so the etas are its values bit for bit: a
     # step that underflows to 0 scales i / div by the span instead
     eta_min, eta_max = float(eta_min), float(eta_max)
@@ -55,7 +55,7 @@ def _eta_sweep(name, title, value, M_max, eta_min, eta_max, n_eta):
         etas[-1] = eta_max
     rows = []
     series = []
-    for m in range(1, int(M_max) + 1):
+    for m in range(1, m_max + 1):
         vals = [value(m, e) for e in etas]
         rows.extend((e, m, float(v)) for e, v in zip(etas, vals))
         series.append((f"M={m}", etas, vals))

@@ -289,6 +289,6 @@ def gaussian_entropy_vs_bound(sigma_grid):
     rows = []
     for sigma in np.asarray(sigma_grid, dtype=float):
         _, entropy = discrete_gaussian_fit(sigma * sigma)
-        bound = 0.5 * np.log2(1.0 + TWO_PI * np.e * sigma * sigma)
-        rows.append((float(sigma), entropy, float(bound), float(bound - entropy)))
+        bound = 0.5 * math.log1p(TWO_PI * math.e * sigma * sigma) / LN2
+        rows.append((float(sigma), entropy, bound, bound - entropy))
     return rows

@@ -86,9 +86,22 @@ def test_fisher_bound_flags_curve_below_max_entropy_envelope(sigma, flagged):
     carries more entropy than 0.5*log2(1 + 2 pi e sigma^2); the report says
     so and still returns the curve."""
     rep = fisher_bound(sigma * sigma)
-    curve = 0.5 * math.log2(1.0 + 2.0 * math.pi * math.e * sigma * sigma)
+    x = 2.0 * math.pi * math.e * (sigma * sigma)
+    curve = 0.5 * math.log1p(x) / math.log(2.0)
     assert rep.bound_bits == curve
     assert rep.flags == (("below_max_entropy_envelope",) if flagged else ())
+
+
+@pytest.mark.parametrize("sigma2", [2.5e-15, 1e-12])
+def test_fisher_bound_keeps_full_precision_near_zero(sigma2):
+    """0.5 log2(1 + x) through log1p: log2 of the rounded 1 + x would be
+    1.6e-3 relative too low at sigma^2 = 2.5e-15, a bound below the curve.
+    The series 0.5 (x - x^2/2 + x^3/3) / ln 2 is exact to double precision
+    here."""
+    x = 2.0 * math.pi * math.e * sigma2
+    series = 0.5 * (x - x * x / 2.0 + x**3 / 3.0) / math.log(2.0)
+    got = fisher_bound(sigma2).bound_bits
+    assert abs(got - series) <= 1e-15 * series
 
 
 def test_sigma_squared_cosine_model():

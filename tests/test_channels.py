@@ -1,5 +1,6 @@
 """Noisy phase-estimation channel models and their spectra."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -262,7 +263,7 @@ def test_compact_family_matches_wide_oracle(kind, n_qubits, eta, extra):
     prior = PriorDensity.uniform(1.0, 4 * k_side + 2 + 2 * extra)
     compact = purified_state_family(model, prior.grid)
     wide = _wide_family(model, prior.grid)
-    assert compact.shape == (prior.n_grid, 3**n_qubits)
+    assert compact.shape == (prior.n_grid, 2**n_qubits)
     assert wide.shape == (prior.n_grid, _WIDE_LAYOUT[kind][0] ** n_qubits)
     gram = compact @ compact.conj().T
     assert np.max(np.abs(gram - wide @ wide.conj().T)) < 1e-12
@@ -284,7 +285,7 @@ def test_purified_family_is_the_per_phi_kron_chain(kind, n_grid):
             model = NoisyQpeModel(kind, m, eta)
             states = purified_state_family(model, phis)
             factors = list(_factor_states(model, phis))
-            want = np.empty((n_grid, 3**m), dtype=complex)
+            want = np.empty((n_grid, 2**m), dtype=complex)
             for i in range(n_grid):
                 row = np.ones(1, dtype=complex)
                 for factor in factors:
@@ -313,9 +314,34 @@ def test_states_spectrum_is_layout_independent(kind):
             assert np.array_equal(weights, row_major)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=hst.sampled_from(CHANNEL_KINDS),
+    n_qubits=hst.integers(1, 6),
+    eta=hst.one_of(hst.sampled_from([0.0, 1.0]), hst.floats(0.0, 1.0)),
+)
+def test_states_spectrum_is_the_product_of_binaries(kind, n_qubits, eta):
+    """Each weight of the states route, not only their entropy: f_k is
+    prod_j (x_j if bit j of k is set, else 1 - x_j) for 0 <= k <= N and
+    0 elsewhere in the window, within 1e-12."""
+    model = NoisyQpeModel(kind, n_qubits, eta)
+    prior = PriorDensity.uniform(1.0, 512)
+    k_side = model.n_calls + 2
+    ks, weights = _spectrum_from_states(
+        StateFamily(1.0, purified_state_family(model, prior.grid)), prior,
+        (-k_side, k_side))
+    xs = mode_weight_args(model)
+    want = [
+        math.prod(x if k >> j & 1 else 1.0 - x for j, x in enumerate(xs))
+        if 0 <= k <= model.n_calls else 0.0
+        for k in ks.tolist()
+    ]
+    assert np.max(np.abs(weights - np.array(want))) <= 1e-12
+
+
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_six_qubit_states_route_is_small(kind):
-    """M = 6 on 512 points: a 3^6-wide family, states op under 16 MiB."""
+    """M = 6 on 512 points: a 2^6-wide family, states op under 4 MiB."""
     model = NoisyQpeModel(kind, 6, 0.9)
     prior = PriorDensity.uniform(1.0, 512)
     k_side = model.n_calls + 2
@@ -328,8 +354,8 @@ def test_six_qubit_states_route_is_small(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert states.shape == (512, 729)
-    assert peak < 16 * 2**20
+    assert states.shape == (512, 64)
+    assert peak < 4 * 2**20
     assert abs(rep.bound_bits - chi_closed_form(model)) < 1e-8
 
 

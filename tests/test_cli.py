@@ -107,7 +107,8 @@ def test_bound_channel_fisher(capsys):
 def test_bound_fisher_flags_curve_below_max_entropy_envelope(capsys):
     """sigma^2 = 2.5e-4: the curve gives 0.0030735 bits, but an integer
     spectrum with that second moment can carry 0.0036 bits. The bound is
-    still the curve, and the flag says it is too low to trust."""
+    still the curve, and the flag says it is too low to trust. The printed
+    value is the curve to the last digit (0.00307350099265754852...)."""
     code, out, _ = run_cli(
         capsys, "bound", "--channel", "dephasing", "--M", "1", "--eta", "1e-3",
         "--method", "fisher",
@@ -115,7 +116,7 @@ def test_bound_fisher_flags_curve_below_max_entropy_envelope(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["sigma2"] == 2.5e-4
-    assert report["bound_bits"] == 0.0030735009926575684
+    assert report["bound_bits"] == 0.0030735009926575485
     assert report["flags"] == ["below_max_entropy_envelope"]
 
 
@@ -839,6 +840,7 @@ def address_space_headroom(n_bytes):
     ["figure", "entropy2", "--grid", "1000000000"],
     ["figure", "entropy2", "--N", "1000000000"],
     ["figure", "chi_qpe", "--n-eta", "1000000000"],
+    ["figure", "chi_qpe", "--M-max", "30", "--n-eta", "200000"],
     ["figure", "transition", "--n-eta", "1000000000"],
     ["figure", "b_sigma", "--n-sigma", "1000000000"],
 ])
