@@ -9,10 +9,10 @@ measurement of a phase-encoded family |psi_phi> under a prior p(phi):
 * the Fisher route: bound the spectrum's second moment by
   sigma^2 = (L^2 / 16 pi^2) * integral [pdot^2/p + p F] dphi and use the
   max-entropy envelope, I <= 0.5 log2(1 + 2 pi e sigma^2) - log2 L + H(phi).
-  fisher_bound is that curve for a given sigma^2 under the uniform
-  period-1 prior, a scalar closed form; an outcome model goes through
-  sigma_squared and fisher_bound_from_model, which adds its prior's
-  -log2 L + H(phi).
+  fisher_bound is that curve (numerics.fisher_curve_bits) of a sigma^2
+  under the uniform period-1 prior; an outcome model goes through
+  sigma_squared (scale numerics.fisher_sigma2) and fisher_bound_from_model,
+  which adds its prior's -log2 L + H(phi).
 
 A matching asymptotic lower bound for maximum-likelihood estimation and
 an entropic uncertainty check for number/phase pairs live here too.
@@ -44,6 +44,8 @@ from .numerics import (
     differential_entropy,
     discrete_gaussian_fit,
     entropy_bits_of_weights,
+    fisher_curve_bits,
+    fisher_sigma2,
     fourier_modes,
 )
 
@@ -148,15 +150,15 @@ class BoundReport:
     history: tuple = ()
 
     def to_json_dict(self):
-        finite = math.isfinite(self.bound_bits)
-
         def num(value):
+            # JSON has no inf or NaN, so a non-finite value prints as null;
             # +0.0 so a negative zero never leaks into serialized output
-            return None if value is None else float(value) + 0.0
+            finite = value is not None and math.isfinite(value)
+            return float(value) + 0.0 if finite else None
 
         return {
             "method": self.method,
-            "bound_bits": num(self.bound_bits) if finite else None,
+            "bound_bits": num(self.bound_bits),
             "sigma2": num(self.sigma2),
             "prior_entropy_bits": num(self.prior_entropy_bits),
             "tail_mass_bound": num(self.tail_mass_bound),
@@ -320,7 +322,7 @@ def sigma_squared(model: EstimationModel) -> float:
     except DivergenceError:
         return float("inf")
     total = prior_term + float((p * fvals).sum() * h)
-    return float(prior.period**2 / (16.0 * math.pi**2) * total)
+    return float(fisher_sigma2(total, prior.period))
 
 
 def fisher_bound(sigma2: float) -> BoundReport:
@@ -343,8 +345,7 @@ def fisher_bound(sigma2: float) -> BoundReport:
         return BoundReport(method="fisher", bound_bits=float("inf"),
                            prior_entropy_bits=0.0, sigma2=float("inf"),
                            flags=("divergent",))
-    # log1p keeps a tiny sigma2's precision, which log2(1 + x) rounds away
-    curve = 0.5 * math.log1p(TWO_PI * math.e * sigma2) / LN2
+    curve = fisher_curve_bits(sigma2)
     # measured, the curve exceeds H* for every sigma >= 0.5, still by
     # 4.2e-8 bits at sigma = 1e3 (the margin tends to 1/(2 pi e sigma^2 ln 4));
     # so solving only below sigma = 1 misses no flag, keeps a huge sigma
@@ -365,11 +366,6 @@ def fisher_bound_from_model(model: EstimationModel) -> BoundReport:
     bound = report.bound_bits - np.log2(prior.period) + prior.entropy_bits
     return replace(report, bound_bits=float(bound),
                    prior_entropy_bits=float(prior.entropy_bits))
-
-
-def _next_even(n):
-    n = int(np.ceil(n))
-    return n if n % 2 == 0 else n + 1
 
 
 def nonperiodic_fourier_bound(family_fn, prior_fn, support) -> BoundReport:
@@ -405,7 +401,7 @@ def nonperiodic_fourier_bound(family_fn, prior_fn, support) -> BoundReport:
         start = mid - 0.5 * window
         for widening in range(7):
             n_side = int(np.ceil(k_band * window))
-            n_grid = _next_even(max(4 * n_side + 2, 256))
+            n_grid = max(4 * n_side + 2, 256)  # even, as the grids need
             phis = start + np.arange(n_grid) * (window / n_grid)
             dens = np.clip(np.asarray(prior_fn(phis), dtype=float), 0.0, None)
             dens[(phis < a) | (phis > b_end)] = 0.0
@@ -467,13 +463,9 @@ def mle_lower_bound(fisher: float) -> BoundReport:
     """
     if fisher <= 0.0:
         raise DomainError("fisher must be positive for the MLE estimate")
-    value = 0.5 * np.log2(fisher / (TWO_PI * np.e))
-    return BoundReport(
-        method="mle-lower",
-        bound_bits=float(value),
-        prior_entropy_bits=0.0,
-        flags=("asymptotic",),
-    )
+    return BoundReport(method="mle-lower", prior_entropy_bits=0.0,
+                       bound_bits=0.5 * math.log2(fisher / (TWO_PI * math.e)),
+                       flags=("asymptotic",))
 
 
 MLE_GAP_LIMIT_BITS = math.log2(math.e / 2.0)  # about 0.4427
@@ -482,17 +474,17 @@ MLE_GAP_LIMIT_BITS = math.log2(math.e / 2.0)  # about 0.4427
 def companion_bound_comparison(fisher: float):
     """The Fisher-route bound against two weaker closed forms.
 
-    Returns (fisher_form, sqrt_form, reference_form):
-      fisher_form    = 0.5 log2(1 + (e / 8 pi) F)
-      sqrt_form      = log2(1 + sqrt(e / 8 pi) sqrt(F))
+    Returns (fisher_form, sqrt_form, reference_form), sigma^2 = F / 16 pi^2:
+      fisher_form    = 0.5 log2(1 + 2 pi e sigma^2), the Fisher route
+      sqrt_form      = log2(1 + sqrt(2 pi e sigma^2))
       reference_form = log2(1 + 0.5 sqrt(F))
     with fisher_form <= sqrt_form <= reference_form for every F >= 0.
     """
     if fisher < 0.0:
         raise DomainError("fisher must be nonnegative")
-    ratio = math.e / (8.0 * math.pi)
-    fisher_form = 0.5 * math.log1p(ratio * fisher) / LN2
-    sqrt_form = math.log1p(math.sqrt(ratio * fisher)) / LN2
+    sigma2 = fisher_sigma2(fisher)
+    fisher_form = fisher_curve_bits(sigma2)
+    sqrt_form = math.log1p(math.sqrt(TWO_PI * math.e * sigma2)) / LN2
     reference_form = math.log1p(0.5 * math.sqrt(fisher)) / LN2
     return fisher_form, sqrt_form, reference_form
 

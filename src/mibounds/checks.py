@@ -43,6 +43,7 @@ from .numerics import (
     PeriodicGridFunction,
     discrete_gaussian_fit,
     entropy_bits_of_weights,
+    fisher_sigma2,
     fourier_modes,
     gaussian_entropy_vs_bound,
 )
@@ -210,7 +211,7 @@ def companion_ordering():
 @_check("bounds")
 def mle_gap_limit():
     """The Fisher-MLE gap falls strictly to within 0.01 bits of log2(e/2)."""
-    gaps = [fisher_bound(nf / (16.0 * np.pi**2)).bound_bits
+    gaps = [fisher_bound(fisher_sigma2(nf)).bound_bits
             - mle_lower_bound(nf).bound_bits
             for nf in (1e2, 1e3, 1e4, 1e5, 1e6)]
     falling = all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))

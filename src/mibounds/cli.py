@@ -23,7 +23,6 @@ import argparse
 import functools
 import inspect
 import json
-import math
 import os
 import sys
 from collections import namedtuple
@@ -50,7 +49,7 @@ from .channels import (
 from .checks import SUITES, run_suite
 from .errors import GridTooCoarseError, ValidationError
 from .figures import FIGURES
-from .numerics import PeriodicGridFunction, check_points
+from .numerics import PeriodicGridFunction, check_points, fisher_sigma2
 from .protocols import (
     EntangledState,
     fourier_bound_ceiling,
@@ -186,11 +185,8 @@ def cmd_bound(args, command):
                 prior_entropy_bits=0.0, tail_mass_bound=0.0,
             )
         else:
-            # a constant Fisher information F under the uniform prior:
-            # sigma^2 = F / (16 pi^2), rounded as sigma_squared's
-            # L^2 / (16 pi^2) * F at L = 1, and the prior adds nothing
-            report = fisher_bound(1.0 / (16.0 * math.pi**2)
-                                  * dephasing_qfi(model))
+            # a constant Fisher information; the uniform prior adds nothing
+            report = fisher_bound(fisher_sigma2(dephasing_qfi(model)))
     elif args.overlap:
         data = _read_table(args.overlap)
         if data.shape[1] < 2:

@@ -158,7 +158,9 @@ def fourier_modes(f: PeriodicGridFunction, k_range):
     g = f.n_grid
     _check_alias_window(g, k_min, k_max)
     ks = np.arange(k_min, k_max + 1)
-    dft = np.fft.fft(f.values) / g  # index m holds c_m for 0 <= m < G
+    # an overflow to inf or NaN stays quiet: the callers' checks refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        dft = np.fft.fft(f.values) / g  # index m holds c_m for 0 <= m < G
     return ks, dft[np.mod(ks, g)]
 
 
@@ -191,6 +193,16 @@ def binary_entropy(x: float) -> float:
     if x < 1.0:
         out -= (1.0 - x) * math.log(1.0 - x)
     return float(out / LN2)
+
+
+def fisher_curve_bits(sigma2: float) -> float:
+    """Fisher curve 0.5 log2(1 + 2 pi e sigma^2); log1p keeps a tiny sigma2."""
+    return 0.5 * math.log1p(TWO_PI * math.e * sigma2) / LN2
+
+
+def fisher_sigma2(fisher: float, period: float = 1.0) -> float:
+    """The Fisher route's scale sigma^2 = (L^2 / 16 pi^2) F on period L."""
+    return period**2 / (16.0 * math.pi**2) * fisher
 
 
 def synthesized_density(c, n_grid):
@@ -289,6 +301,6 @@ def gaussian_entropy_vs_bound(sigma_grid):
     rows = []
     for sigma in np.asarray(sigma_grid, dtype=float):
         _, entropy = discrete_gaussian_fit(sigma * sigma)
-        bound = 0.5 * math.log1p(TWO_PI * math.e * sigma * sigma) / LN2
+        bound = fisher_curve_bits(sigma * sigma)
         rows.append((float(sigma), entropy, bound, bound - entropy))
     return rows

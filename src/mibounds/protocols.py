@@ -140,8 +140,9 @@ def minimize(fun, x0, *, ftol, gtol, maxiter):
     Steps come from a Moré–Thuente strong-Wolfe line search (MINPACK-2
     dcsrch: c1 = 1e-3, c2 = 0.9, extrapolation by up to x4, safeguarded
     cubic interpolation), starting at 1/|g| on the first iteration and
-    at 1 after it. A line search that fails clears the memory and retries
-    along -g; failing with an empty memory stops the run.
+    at 1 after it. A line search that fails (a NaN or infinite value or
+    slope fails it too) clears the memory and retries along -g; failing
+    with an empty memory stops the run.
 
     Stops, as scipy's L-BFGS-B does without bounds, when max|g| <= gtol,
     when (f_k - f_k+1) / max(|f_k|, |f_k+1|, 1) <= ftol, or, unconverged,
@@ -154,7 +155,7 @@ def minimize(fun, x0, *, ftol, gtol, maxiter):
     f, g = fun(x)
     nit, nfev, pairs = 0, 1, []
     success, message = True, "max|g| <= gtol"
-    while np.max(np.abs(g)) > gtol:
+    while not np.max(np.abs(g)) <= gtol:  # a NaN gradient enters the loop
         if pairs:
             d, step = -_two_loop(g, pairs), 1.0
         else:
@@ -207,7 +208,8 @@ def _line_search(fun, x, f0, g0, d, stp):
     Returns (x, f, g, evaluations) at the first step meeting the strong
     Wolfe conditions f <= f0 + c1 stp g0.d and |g.d| <= c2 |g0.d|, or at
     the step where rounding or the bracket width stops progress; x is
-    None when d is not a descent direction or after 20 evaluations.
+    None when d is not a descent direction, at a value or slope that is
+    not finite, or after 20 evaluations.
     """
     ginit = float(g0 @ d)
     if not ginit < 0.0:
@@ -223,6 +225,8 @@ def _line_search(fun, x, f0, g0, d, stp):
         xt = x + stp * d
         f, g = fun(xt)
         dg = float(g @ d)
+        if not (math.isfinite(f) and math.isfinite(dg)):
+            return None, f0, g0, evals
         ftest = f0 + stp * gtest
         if stage1 and f <= ftest and dg >= 0.0:
             stage1 = False

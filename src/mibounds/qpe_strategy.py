@@ -11,15 +11,16 @@ hurt once the top qubits decohere.
 import math
 
 from .channels import NoisyQpeModel, dephasing_qfi
+from .numerics import TWO_PI, fisher_sigma2
 
 
 def enhancement_term(n_qubits: int, eta: float) -> float:
-    """Per-call gain 0.5 log2(e F / (8 pi (2^M - 1))) of an M-qubit block.
+    """Per-call gain 0.5 log2(2 pi e sigma^2 / (2^M - 1)) of an M-qubit
+    block, sigma^2 = fisher_sigma2(F) of its dephased Fisher information.
 
-    F is the dephased-block Fisher information; eta = 0 kills it (and a
-    subnormal eta can underflow the ratio), and the term is -inf: the
-    block carries no phase information.
+    eta = 0 kills F (and a subnormal eta can underflow the ratio), and
+    the term is -inf: the block carries no phase information.
     """
     model = NoisyQpeModel("dephasing", n_qubits, eta)
-    ratio = math.e * dephasing_qfi(model) / (8.0 * math.pi * model.n_calls)
+    ratio = TWO_PI * math.e * fisher_sigma2(dephasing_qfi(model)) / model.n_calls
     return 0.5 * math.log2(ratio) if ratio > 0.0 else float("-inf")

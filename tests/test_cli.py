@@ -362,9 +362,28 @@ def test_bound_step_model_exits_three(capsys, tmp_path):
         capsys, "bound", "--model", str(model), "--method", "fisher"
     )
     assert code == 3
-    report = json.loads(out)
+
+    def reject(name):  # RFC 8259 has no Infinity or NaN
+        raise ValueError(f"non-JSON constant {name}")
+
+    report = json.loads(out, parse_constant=reject)
     assert report["bound_bits"] is None
+    assert report["sigma2"] is None
     assert "divergent" in report["flags"]
+
+
+def test_bound_overflowing_overlap_exits_three_with_one_line(capsys,
+                                                             tmp_path):
+    """Samples of +-1e308 overflow the FFT: one message line and exit 3, no
+    numpy warning (pytest turns warnings into errors)."""
+    lines = ["phi,re", "0.0,1.0"]
+    lines += [f"{i / 64!r},{(-1.0) ** i * 1e308!r}" for i in range(1, 64)]
+    overlap = tmp_path / "huge.csv"
+    overlap.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "bound", "--overlap", str(overlap))
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_bound_ragged_csv_rejected(capsys, tmp_path):
@@ -712,7 +731,8 @@ def test_two_seed_grid_too_coarse_for_n_max_exits_two_for_every_seed(
 def test_config_file_merge(capsys, tmp_path):
     cfg = tmp_path / "fig.cfg"
     cfg.write_text(
-        "# figure settings\nM_max = 2\nn-eta = 7\n", encoding="utf-8"
+        "# figure settings\nM_max = 2\nn-eta = 7\nsvg = yes\n",
+        encoding="utf-8"
     )
     code, out, _ = run_cli(
         capsys, "figure", "chi_qpe", "--config", str(cfg),
@@ -721,6 +741,11 @@ def test_config_file_merge(capsys, tmp_path):
     assert code == 0
     lines = (tmp_path / "chi_qpe.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 4 + 2 * 7  # config supplied both knobs
+    # and a boolean: the bare --svg flag's value
+    assert out.split() == [str(tmp_path / "chi_qpe.csv"),
+                           str(tmp_path / "chi_qpe.svg")]
+    svg = (tmp_path / "chi_qpe.svg").read_text(encoding="utf-8")
+    assert svg.startswith("<svg")
 
 
 def test_config_flag_wins_over_file(capsys, tmp_path):
@@ -749,6 +774,19 @@ def test_config_shared_across_figures(capsys, tmp_path, name):
     assert code == 0, err
     lines = (out_dir / f"{name}.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 4 + (3 if name == "b_sigma" else 2 * 3)
+
+
+def test_config_bad_boolean_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "fig.cfg"
+    cfg.write_text("svg = maybe\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "figure", "chi_qpe", "--config", str(cfg),
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 2 and out == ""
+    assert err == ("error: config key svg: expected a boolean, "
+                   "got 'maybe'\n")
+    assert not (tmp_path / "chi_qpe.csv").exists()
 
 
 def test_config_unknown_key_rejected(capsys, tmp_path):

@@ -189,6 +189,29 @@ def test_lbfgs_stops_at_a_stationary_start():
     assert res.success and res.nit == 0 and res.nfev == 1
 
 
+def _nan_gradient(x):
+    return float(x @ x), np.full_like(x, np.nan)
+
+
+def _nan_below_half(x):
+    if abs(x[0]) < 0.5:
+        return float("nan"), np.full_like(x, np.nan)
+    return float(x @ x), 2.0 * x
+
+
+@pytest.mark.parametrize("fun, nit", [(_nan_gradient, 0),
+                                      (_nan_below_half, 1)])
+def test_lbfgs_fails_on_nan(fun, nit):
+    """A NaN gradient at x0 used to report success with nit = 0, and a NaN
+    region on the way (x.x is NaN where |x_0| < 0.5) a run that ended at
+    f = 24.45, above f(x0) = 5. Both now fail, at a point no worse."""
+    res = protocols.minimize(fun, [1.0, 2.0], ftol=1e-12, gtol=1e-9,
+                             maxiter=100)
+    assert res.success is False
+    assert res.message == "line search failed along -g"
+    assert res.nit == nit and res.fun <= 5.0 and res.fun == fun(res.x)[0]
+
+
 def _full_spectrum_oracle(c, n_grid):
     """Oracle: entropy in bits and its gradient in c by complex FFTs over
     the whole grid, the form the optimizer used before the half spectrum."""
