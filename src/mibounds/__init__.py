@@ -12,7 +12,6 @@ from .bounds import (
     entropic_uncertainty_check,
     fisher_bound,
     fisher_bound_from_model,
-    fisher_profile,
     fourier_bound_from_overlap,
     fourier_bound_from_states,
     mle_lower_bound,

@@ -9,10 +9,13 @@ measurement of a phase-encoded family |psi_phi> under a prior p(phi):
 * the Fisher route: bound the spectrum's second moment by
   sigma^2 = (L^2 / 16 pi^2) * integral [pdot^2/p + p F] dphi and use the
   max-entropy envelope, I <= 0.5 log2(1 + 2 pi e sigma^2) - log2 L + H(phi).
-  fisher_bound is that curve (numerics.fisher_curve_bits) of a sigma^2
+  The integral is the Fisher information sum_m integral rdot_m^2 / r_m of
+  the joint density r_m(phi) = p(phi) p(m|phi) (the Bayesian Cramer-Rao
+  information of Van Trees), since sum_m pdot(m|phi) = 0 cancels the cross
+  term. fisher_bound is the curve (numerics.fisher_curve_bits) of a sigma^2
   under the uniform period-1 prior; an outcome model goes through
-  sigma_squared (scale numerics.fisher_sigma2) and fisher_bound_from_model,
-  which adds its prior's -log2 L + H(phi).
+  sigma_squared, one pass over its joint (scale numerics.fisher_sigma2),
+  and fisher_bound_from_model, which adds its prior's -log2 L + H(phi).
 
 A matching asymptotic lower bound for maximum-likelihood estimation and
 an entropic uncertainty check for number/phase pairs live here too.
@@ -26,7 +29,6 @@ from typing import Optional
 
 from ._lazy import np
 from .errors import (
-    DivergenceError,
     DomainError,
     NonConvergenceError,
     NonNormalizedDensityError,
@@ -49,7 +51,7 @@ from .numerics import (
     fourier_modes,
 )
 
-# pointwise floors for the pdot^2/p convention
+# pointwise floors of the joint rdot^2/r quotient in sigma_squared
 PROB_FLOOR = 1e-14
 DERIV_FLOOR = 1e-7
 
@@ -125,6 +127,8 @@ class EstimationModel:
             raise ValidationError(
                 "conditional must be (grid, outcomes) on the prior grid"
             )
+        if not np.all(np.isfinite(cond)):
+            raise ValidationError("conditional probabilities must be finite")
         if np.any(cond < -1e-12):
             raise ValidationError("conditional probabilities must be nonnegative")
         cond = np.clip(cond, 0.0, None)
@@ -256,73 +260,52 @@ def fourier_bound_from_overlap(f: PeriodicGridFunction) -> BoundReport:
                             float(np.log2(f.period)))
 
 
-def _has_step_discontinuity(values):
-    """Grid-scale jump test: largest |delta| against a robust slope scale."""
-    diffs = np.abs(np.diff(values, append=values[:1]))
-    jump = float(diffs.max())
-    if jump <= 1e-5 * max(float(np.max(np.abs(values))), 1e-300):
-        return False  # too small to matter even if it is a step
-    scale = float(np.quantile(diffs, 0.99))
-    return jump > 10.0 * scale
-
-
-def _quotient_terms(p, h):
-    """pdot^2 / p columnwise with the touching-zero convention.
-
-    Where p < PROB_FLOOR and the centered slope is below DERIV_FLOOR the
-    true limit at a quadratic touch is 2*pddot, which the second
-    difference supplies; a flat zero gives 0 there. A sizable slope into
-    a zero means the quotient genuinely diverges.
-    """
-    pdot = (np.roll(p, -1, axis=0) - np.roll(p, 1, axis=0)) / (2.0 * h)
-    pddot = (np.roll(p, -1, axis=0) - 2.0 * p + np.roll(p, 1, axis=0)) / (h * h)
-    tiny = p < PROB_FLOOR
-    if np.any(tiny & (np.abs(pdot) >= DERIV_FLOOR)):
-        raise DivergenceError("pdot^2/p diverges at a zero crossed with slope")
-    out = np.zeros_like(p)
-    ok = ~tiny
-    out[ok] = pdot[ok] ** 2 / p[ok]
-    touch = tiny & (pddot > 0.0)
-    out[touch] = 2.0 * pddot[touch]
-    return out
-
-
-def fisher_profile(model: EstimationModel):
-    """Classical Fisher information F(phi) = sum_m pdot(m|phi)^2 / p(m|phi).
-
-    Derivatives are second-order central differences on the periodic
-    grid. Raises DivergenceError when an outcome column has a grid-scale
-    step or a zero approached with nonzero slope.
-    """
-    cond = model.conditional
-    h = model.prior.period / model.prior.n_grid
-    for m in range(cond.shape[1]):
-        if _has_step_discontinuity(cond[:, m]):
-            raise DivergenceError(f"outcome {m} has a grid-scale discontinuity")
-    terms = _quotient_terms(cond, h)
-    return PeriodicGridFunction(model.prior.period, terms.sum(axis=1))
+def _has_step(r):
+    """Grid-scale jump test per column: the largest |delta| against 10x a
+    slope scale, the smaller of the larger jump beside it and the 0.99
+    quantile of all jumps. The sides see a step on a coarse grid, where
+    its two jumps are more than 1 % of all; the quantile sees a one-sample
+    spike or a step spread over two rows on a fine one."""
+    d = np.abs(np.roll(r, -1, axis=0) - r)
+    cols = np.arange(r.shape[1])
+    i = d.argmax(axis=0)
+    jump = d[i, cols]
+    sides = np.maximum(d[i - 1, cols], d[(i + 1) % len(d), cols])
+    scale = np.minimum(sides, np.quantile(d, 0.99, axis=0))
+    # a jump below 1e-5 of its column is too small to matter even as a step
+    big = jump > 1e-5 * r.max(axis=0)
+    return bool(np.any(big & (jump > 10.0 * scale)))
 
 
 def sigma_squared(model: EstimationModel) -> float:
     """Second-moment budget (L^2 / 16 pi^2) integral [pdot^2/p + p F] dphi
     of an outcome model, on the grid and prior of model.prior.
 
-    A grid-scale step in the prior or an outcome column, or a zero
-    approached with nonzero slope, gives inf (divergent) instead of a
-    huge finite number.
+    The integral is the Fisher information sum_m integral rdot_m^2 / r_m
+    of the joint r_m(phi) = p(phi) p(m|phi); the cross term vanishes as
+    sum_m pdot(m|phi) = 0. Derivatives are second-order central
+    differences on the periodic grid. Where r < PROB_FLOOR with centered
+    slope below DERIV_FLOOR the quotient takes its limit at a quadratic
+    touch, 2 rddot, or 0 at a flat zero. The floors act on the joint: on
+    a uniform period-L prior, p(m|phi) < L * 1e-14 counts as zero, and a
+    slope |pdot(m|phi)| >= L * 1e-7 into it diverges.
+
+    A grid-scale step in a joint column, or a zero approached with slope,
+    gives inf (divergent) instead of a huge finite number.
     """
     prior = model.prior
     h = prior.period / prior.n_grid
-    p = prior.values
-    if _has_step_discontinuity(p):
+    r = prior.values[:, None] * model.conditional
+    if _has_step(r):
         return float("inf")
-    try:
-        prior_term = float(_quotient_terms(p[:, None], h).sum() * h)
-        fvals = fisher_profile(model).values
-    except DivergenceError:
+    up, down = np.roll(r, -1, axis=0), np.roll(r, 1, axis=0)
+    rdot = (up - down) / (2.0 * h)
+    tiny = r < PROB_FLOOR
+    if np.any(tiny & (np.abs(rdot) >= DERIV_FLOOR)):
         return float("inf")
-    total = prior_term + float((p * fvals).sum() * h)
-    return float(fisher_sigma2(total, prior.period))
+    touch = 2.0 * np.maximum((up - 2.0 * r + down) / (h * h), 0.0)
+    quotient = np.where(tiny, touch, rdot ** 2 / np.where(tiny, 1.0, r))
+    return fisher_sigma2(float(quotient.sum() * h), prior.period)
 
 
 def fisher_bound(sigma2: float) -> BoundReport:

@@ -2,7 +2,9 @@
 
 ValidationError and its subclasses signal bad inputs (CLI exit code 2).
 The ArithmeticError subclasses signal numerical trouble discovered while
-computing (CLI exit code 3).
+computing (CLI exit code 3). A divergent Fisher integral raises nothing:
+sigma_squared returns inf, the report carries the flag "divergent", and
+the CLI prints it and exits 3.
 """
 
 
@@ -20,10 +22,6 @@ class NonNormalizedDensityError(ValidationError):
 
 class DomainError(ValidationError):
     """Scalar argument lies outside its mathematical domain."""
-
-
-class DivergenceError(ArithmeticError):
-    """A Fisher-type integrand diverges on the sampling grid."""
 
 
 class NumericalFailureError(ArithmeticError):

@@ -20,7 +20,6 @@ from mibounds.bounds import (
     entropic_uncertainty_check,
     fisher_bound,
     fisher_bound_from_model,
-    fisher_profile,
     fourier_bound_from_overlap,
     fourier_bound_from_states,
     mle_lower_bound,
@@ -34,7 +33,6 @@ from mibounds.channels import (
     purified_state_family,
 )
 from mibounds.errors import (
-    DivergenceError,
     DomainError,
     GridTooCoarseError,
     NonNormalizedDensityError,
@@ -114,34 +112,63 @@ def test_sigma_squared_cosine_model():
     assert abs(sigma_squared(EstimationModel(prior, cond)) - 0.25) < 1e-5
 
 
-def test_fisher_profile_of_cosine_model_is_constant():
-    # F(phi) = 4 pi^2 for p = cos^2(pi phi), away from the touch points
-    prior = PriorDensity.uniform(1.0, 2048)
-    phis = prior.grid
-    cond = np.stack(
-        [np.cos(np.pi * phis) ** 2, np.sin(np.pi * phis) ** 2], axis=1
-    )
-    prof = fisher_profile(EstimationModel(prior, cond))
-    inner = prof.values[8:-8]
-    assert np.max(np.abs(inner - 4.0 * np.pi**2)) < 1e-3
+@settings(max_examples=60, deadline=None)
+@given(
+    k=hst.integers(1, 8),
+    extra=hst.integers(0, 300),
+    period=hst.floats(0.1, 10.0),
+    v=hst.floats(0.05, 0.99),
+)
+def test_sigma_squared_matches_discrete_oracle(k, extra, period, v):
+    """A central difference scales sin(theta) by sinc(2 pi k / G), so on any
+    grid sigma^2 has a closed form, for the conditional half (a cosine
+    outcome model on the uniform prior) and the prior half (a cosine prior
+    with one certain outcome) alike. theta = 2 pi k phi / L, G >= 8k."""
+    n_grid = 8 * k + 2 * extra
+    uniform = PriorDensity.uniform(period, n_grid)
+    theta = TWO_PI * k * uniform.grid / period
+    scale = k * k / 4.0 * np.sinc(2.0 * k / n_grid) ** 2  # sinc(2 pi k / G)
+    s2v2 = (v * np.sin(theta)) ** 2
+
+    p1 = 0.5 * (1.0 + v * np.cos(theta))
+    cond = EstimationModel(uniform, np.stack([p1, 1.0 - p1], axis=1))
+    want = scale * np.mean(s2v2 / (1.0 - (v * np.cos(theta)) ** 2))
+    assert abs(sigma_squared(cond) - want) <= 1e-12 * want
+
+    prior = PriorDensity(period, (1.0 + v * np.cos(theta)) / period)
+    flat = EstimationModel(prior, np.ones((n_grid, 1)))
+    want = scale * np.mean(s2v2 / (1.0 + v * np.cos(theta)))
+    assert abs(sigma_squared(flat) - want) <= 1e-12 * want
 
 
-def test_fisher_profile_rejects_step_model():
-    prior = PriorDensity.uniform(1.0, 512)
+@pytest.mark.parametrize("n_grid", [8, 64, 128, 256])
+def test_sigma_squared_of_step_model_is_divergent(n_grid):
+    """A 0.8/0.2 step is divergent on every grid, also up to 128 rows,
+    where its two jumps are more than 1 % of all jumps."""
+    prior = PriorDensity.uniform(1.0, n_grid)
     p1 = np.where(prior.grid < 0.5, 0.8, 0.2)
     model = EstimationModel(prior, np.stack([p1, 1.0 - p1], axis=1))
-    with pytest.raises(DivergenceError):
-        fisher_profile(model)
+    assert math.isinf(sigma_squared(model))
+    assert fisher_bound_from_model(model).flags == ("divergent",)
 
 
-def test_fisher_profile_rejects_sloped_zero():
+def test_sigma_squared_of_one_sample_spike_is_divergent():
+    """Each jump of a one-sample spike has the other beside it; on a fine
+    grid the spike is still a grid-scale feature."""
+    prior = PriorDensity.uniform(1.0, 512)
+    p1 = np.full(512, 0.5)
+    p1[100] = 0.9
+    model = EstimationModel(prior, np.stack([p1, 1.0 - p1], axis=1))
+    assert math.isinf(sigma_squared(model))
+
+
+def test_sigma_squared_of_sloped_zero_is_divergent():
     prior = PriorDensity.uniform(1.0, 512)
     p1 = np.abs(np.sin(2.0 * np.pi * prior.grid)) * 0.5
     p1[0] = 0.0
     p1[1] = 1e-20  # zero approached with a finite slope on one side
     model = EstimationModel(prior, np.stack([p1, 1.0 - p1], axis=1))
-    with pytest.raises(DivergenceError):
-        fisher_profile(model)
+    assert math.isinf(sigma_squared(model))
 
 
 def test_sigma_squared_flags_divergent_prior():

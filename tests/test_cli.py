@@ -372,6 +372,22 @@ def test_bound_step_model_exits_three(capsys, tmp_path):
     assert "divergent" in report["flags"]
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_bound_model_with_non_finite_cell_exits_two(capsys, tmp_path, cell):
+    """A NaN passes both the sign and the row-sum test, so the model
+    refuses non-finite cells by name: one error line, no traceback."""
+    model = tmp_path / "bad.csv"
+    write_cosine_model(model, 64)
+    lines = model.read_text(encoding="utf-8").splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + "," + cell
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "bound", "--model", str(model), "--method", "fisher"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: conditional probabilities must be finite\n"
+
+
 def test_bound_overflowing_overlap_exits_three_with_one_line(capsys,
                                                              tmp_path):
     """Samples of +-1e308 overflow the FFT: one message line and exit 3, no
