@@ -51,7 +51,7 @@ from .numerics import (
     fourier_modes,
 )
 
-# pointwise floors of the joint rdot^2/r quotient in sigma_squared
+# pointwise zero floors of sigma_squared, on its factors and its joint
 PROB_FLOOR = 1e-14
 DERIV_FLOOR = 1e-7
 
@@ -260,20 +260,20 @@ def fourier_bound_from_overlap(f: PeriodicGridFunction) -> BoundReport:
                             float(np.log2(f.period)))
 
 
-def _has_step(r):
+def _has_step(f):
     """Grid-scale jump test per column: the largest |delta| against 10x a
     slope scale, the smaller of the larger jump beside it and the 0.99
     quantile of all jumps. The sides see a step on a coarse grid, where
     its two jumps are more than 1 % of all; the quantile sees a one-sample
     spike or a step spread over two rows on a fine one."""
-    d = np.abs(np.roll(r, -1, axis=0) - r)
-    cols = np.arange(r.shape[1])
+    d = np.abs(np.roll(f, -1, axis=0) - f)
+    cols = np.arange(f.shape[1])
     i = d.argmax(axis=0)
     jump = d[i, cols]
     sides = np.maximum(d[i - 1, cols], d[(i + 1) % len(d), cols])
     scale = np.minimum(sides, np.quantile(d, 0.99, axis=0))
     # a jump below 1e-5 of its column is too small to matter even as a step
-    big = jump > 1e-5 * r.max(axis=0)
+    big = jump > 1e-5 * f.max(axis=0)
     return bool(np.any(big & (jump > 10.0 * scale)))
 
 
@@ -286,24 +286,30 @@ def sigma_squared(model: EstimationModel) -> float:
     sum_m pdot(m|phi) = 0. Derivatives are second-order central
     differences on the periodic grid. Where r < PROB_FLOOR with centered
     slope below DERIV_FLOOR the quotient takes its limit at a quadratic
-    touch, 2 rddot, or 0 at a flat zero. The floors act on the joint: on
-    a uniform period-L prior, p(m|phi) < L * 1e-14 counts as zero, and a
-    slope |pdot(m|phi)| >= L * 1e-7 into it diverges.
+    touch, 2 rddot, or 0 at a flat zero.
 
-    A grid-scale step in a joint column, or a zero approached with slope,
-    gives inf (divergent) instead of a huge finite number.
+    A grid-scale step in the prior or an outcome column gives inf
+    (divergent) instead of a huge finite number, and so does a zero
+    approached with slope (|slope| >= DERIV_FLOOR where the value is below
+    PROB_FLOOR) in the prior, an outcome column or a joint column. The
+    factors are tested on their own because a step or a sloped zero of
+    one can hide in the joint behind the other: a 1.05/0.95 prior step
+    beside a steep conditional, or a conditional zero under a prior tail
+    of 1e-8. On a uniform period-L prior the joint's floors are
+    p(m|phi) < L * 1e-14 and |pdot(m|phi)| >= L * 1e-7.
     """
     prior = model.prior
     h = prior.period / prior.n_grid
-    r = prior.values[:, None] * model.conditional
-    if _has_step(r):
+    p = prior.values[:, None]
+    f = np.hstack([p, model.conditional, p * model.conditional])
+    j = f.shape[1] - model.conditional.shape[1]  # the joint columns start here
+    up, down = np.roll(f, -1, axis=0), np.roll(f, 1, axis=0)
+    fdot = (up - down) / (2.0 * h)
+    tiny = f < PROB_FLOOR
+    if _has_step(f[:, :j]) or np.any(tiny & (np.abs(fdot) >= DERIV_FLOOR)):
         return float("inf")
-    up, down = np.roll(r, -1, axis=0), np.roll(r, 1, axis=0)
-    rdot = (up - down) / (2.0 * h)
-    tiny = r < PROB_FLOOR
-    if np.any(tiny & (np.abs(rdot) >= DERIV_FLOOR)):
-        return float("inf")
-    touch = 2.0 * np.maximum((up - 2.0 * r + down) / (h * h), 0.0)
+    r, rdot, tiny = f[:, j:], fdot[:, j:], tiny[:, j:]
+    touch = 2.0 * np.maximum((up[:, j:] - 2.0 * r + down[:, j:]) / (h * h), 0.0)
     quotient = np.where(tiny, touch, rdot ** 2 / np.where(tiny, 1.0, r))
     return fisher_sigma2(float(quotient.sum() * h), prior.period)
 

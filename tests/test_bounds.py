@@ -171,6 +171,35 @@ def test_sigma_squared_of_sloped_zero_is_divergent():
     assert math.isinf(sigma_squared(model))
 
 
+def _two_outcomes(prior_values, p1):
+    prior = PriorDensity(1.0, prior_values)
+    return EstimationModel(prior, np.stack([p1, 1.0 - p1], axis=1))
+
+
+def test_sigma_squared_sees_a_step_behind_the_other_factor():
+    """In the joint p(phi) p(m|phi), a 1.05/0.95 step of one factor jumps
+    no more than a steep sine of the other changes per row, so each
+    factor is tested on its own."""
+    phi = np.arange(512) / 512.0
+    step = np.where(phi < 0.5, 1.05, 0.95)
+    sine = 1.0 + 0.9 * np.sin(8.0 * np.pi * phi)
+    assert math.isinf(sigma_squared(_two_outcomes(step, 0.5 * sine)))
+    assert math.isinf(sigma_squared(_two_outcomes(sine, 0.5 * step)))
+
+
+def test_sigma_squared_sees_a_sloped_zero_under_a_prior_tail():
+    """Under a prior of about 1e-8, the joint slope into a conditional
+    zero is below DERIV_FLOOR; the conditional's own slope is not."""
+    phi = np.arange(512) / 512.0
+    tail = 5e-7 + (1.0 - np.cos(TWO_PI * phi)) ** 8
+    p1 = np.abs(np.sin(TWO_PI * phi)) * 0.5
+    p1[0] = 0.0
+    p1[1] = 1e-20
+    model = _two_outcomes(tail / tail.mean(), p1)
+    assert model.prior.values[0] < 1e-7
+    assert math.isinf(sigma_squared(model))
+
+
 def test_sigma_squared_flags_divergent_prior():
     """A step prior diverges even when no outcome depends on phi."""
     vals = np.where(np.arange(512) < 256, 2.0, 0.0)
