@@ -297,8 +297,14 @@ def sigma_squared(model: EstimationModel) -> float:
     beside a steep conditional, or a conditional zero under a prior tail
     of 1e-8. On a uniform period-L prior the joint's floors are
     p(m|phi) < L * 1e-14 and |pdot(m|phi)| >= L * 1e-7.
+
+    A 2-row grid (grids are even) is bad input: both neighbours of a row
+    are the same row, so every central difference would be 0.
     """
     prior = model.prior
+    if prior.n_grid < 4:
+        raise ValidationError(
+            f"a Fisher integral needs at least 4 grid rows, got {prior.n_grid}")
     h = prior.period / prior.n_grid
     p = prior.values[:, None]
     f = np.hstack([p, model.conditional, p * model.conditional])

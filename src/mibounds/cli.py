@@ -8,13 +8,12 @@ Subcommands
     optimize  minimize the covariant-posterior entropy over input states
     two-seed  run the seeded two-measurement comparison trials
 
-Exit codes: 0 success, 1 failed checks, 2 bad input (arguments, config
-values, unreadable or unwritable files), 3 numerical divergence. Every
-option is declared once, in COMMANDS, which yields argparse, config
-merging, minimums and figure keywords. Parameters may come from an
-INI-style flat key=value config file; explicit flags win. CSV outputs
-carry `#` metadata lines (command, seed, version) and are byte-identical
-across reruns with the same seed.
+Exit codes: 0 success, 1 failed checks, 2 bad input (arguments,
+unreadable or unwritable files), 3 numerical divergence. Every option is
+declared once, in COMMANDS, which yields argparse, defaults, minimums and
+figure keywords; its flag is the only way to set it. CSV outputs carry
+`#` metadata lines (command, seed, version) and are byte-identical across
+reruns with the same seed.
 """
 
 from __future__ import annotations
@@ -61,15 +60,6 @@ from .protocols import (
 from .svgplot import render_line_plot
 
 
-def _parse_bool(text) -> bool:
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"expected a boolean, got {text!r}")
-
-
 def _format_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -97,20 +87,6 @@ def _read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: not UTF-8 text") from None
-
-
-def _load_config(path) -> dict:
-    """Flat key=value file; `#` comments and blank lines are skipped."""
-    values = {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected key=value")
-        key, val = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
 
 
 def _emit(payload, command, seed, out):
@@ -215,15 +191,13 @@ def cmd_figure(args, command):
             f"{', '.join(sorted(FIGURES))}"
         )
     # each builder takes the options named like its parameters; --seed,
-    # --out-dir and --svg are common to every figure. A flag the builder
-    # does not take is an error; a config key it does not take is not, so
-    # one config file can serve every figure.
+    # --out-dir and --svg are common to every figure; any other flag the
+    # builder does not take is an error
     takes = inspect.signature(FIGURES[args.name]).parameters
     for name in args.flags:
         if name not in takes and name not in ("seed", "out_dir", "svg"):
             raise ValidationError(f"figure {args.name} takes no {_flag(name)}")
-    kwargs = {param.name: getattr(args, param.name) for param in args.params
-              if param.name in takes and getattr(args, param.name) is not None}
+    kwargs = {name: getattr(args, name) for name in args.flags if name in takes}
     # the CSVs record the seed the builder ran with, its default included
     seed = args.seed
     if seed is None and "seed" in takes:
@@ -327,9 +301,9 @@ Param = namedtuple("Param", "name cast default minimum help",
 KINDS = tuple(sorted(CHANNEL_KINDS))
 
 # subcommand -> (handler, help, positional argument, option table). Each
-# option row declares its --flag (underscores become dashes), config key,
-# type (a tuple: its choices; _parse_bool: a bare flag), default, minimum
-# and help; figure passes it to the builder parameter of the same name.
+# option row declares its --flag (underscores become dashes), type (a
+# tuple: its choices; bool: a bare flag), default, minimum and help;
+# figure passes it to the builder parameter of the same name.
 COMMANDS = {
     "bound": (cmd_bound, "evaluate a single bound, report JSON", None, (
         Param("channel", KINDS),
@@ -354,7 +328,7 @@ COMMANDS = {
         Param("restarts", int, None, 1),
         Param("grid", int, None, 1),
         Param("out_dir", str, "."),
-        Param("svg", _parse_bool, False, help="also render an SVG line plot"),
+        Param("svg", bool, False, help="also render an SVG line plot"),
         Param("seed", int, None, 0),
     )),
     "check": (cmd_check, "run an invariant suite",
@@ -386,41 +360,21 @@ def _flag(name):
 
 
 def _argparse_type(param):
-    if param.cast is _parse_bool:
+    if param.cast is bool:
         return {"action": "store_const", "const": True}
     if isinstance(param.cast, tuple):
         return {"choices": param.cast}
     return {"type": param.cast}
 
 
-def _config_value(param, text):
-    """A config file value cast by its row; one that does not parse is bad
-    input."""
-    try:
-        if isinstance(param.cast, tuple):
-            if text not in param.cast:
-                raise ValueError(f"choose from {', '.join(param.cast)}")
-            return text
-        return param.cast(text)
-    except ValueError as exc:
-        raise ValidationError(f"config key {param.name}: {exc}") from None
-
-
 def _resolve(args, params):
     """Record the options given as flags in args.flags, fill the others
-    from --config, else from their defaults, then hold every option to its
-    row's minimum."""
+    from their defaults, then hold every option to its row's minimum."""
     args.flags = [param.name for param in params
                   if getattr(args, param.name) is not None]
-    values = _load_config(args.config) if args.config else {}
-    unknown = sorted(set(values) - {param.name for param in params})
-    if unknown:
-        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     for param in params:
         if getattr(args, param.name) is None:
-            setattr(args, param.name,
-                    _config_value(param, values[param.name])
-                    if param.name in values else param.default)
+            setattr(args, param.name, param.default)
         value = getattr(args, param.name)
         if (param.minimum is not None and value is not None
                 and value < param.minimum):
@@ -447,7 +401,6 @@ def build_parser():
         for param in params:
             p.add_argument(_flag(param.name), dest=param.name,
                            help=param.help, **_argparse_type(param))
-        p.add_argument("--config", help="flat key=value parameter file")
         p.set_defaults(func=func, params=params)
     return parser
 

@@ -141,15 +141,27 @@ def test_sigma_squared_matches_discrete_oracle(k, extra, period, v):
     assert abs(sigma_squared(flat) - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("n_grid", [8, 64, 128, 256])
+@pytest.mark.parametrize("n_grid", [4, 8, 64, 128, 256])
 def test_sigma_squared_of_step_model_is_divergent(n_grid):
-    """A 0.8/0.2 step is divergent on every grid, also up to 128 rows,
-    where its two jumps are more than 1 % of all jumps."""
+    """A 0.8/0.2 step is divergent on every grid of 4 rows and more, also
+    up to 128 rows, where its two jumps are more than 1 % of all jumps."""
     prior = PriorDensity.uniform(1.0, n_grid)
     p1 = np.where(prior.grid < 0.5, 0.8, 0.2)
     model = EstimationModel(prior, np.stack([p1, 1.0 - p1], axis=1))
     assert math.isinf(sigma_squared(model))
     assert fisher_bound_from_model(model).flags == ("divergent",)
+
+
+@pytest.mark.parametrize("p1", [[0.8, 0.2], [0.95, 0.05]],
+                         ids=["step", "cosine"])
+def test_sigma_squared_needs_four_rows(p1):
+    """On 2 rows both neighbours of a row are one row, so every central
+    difference was 0: a 0.8/0.2 step gave sigma^2 0 instead of inf, and the
+    cosine p1 = (1 + 0.9 cos 2 pi phi)/2 gave 0 instead of 0.14103."""
+    prior = PriorDensity.uniform(1.0, 2)
+    model = EstimationModel(prior, np.stack([p1, 1.0 - np.array(p1)], axis=1))
+    with pytest.raises(ValidationError, match="at least 4 grid rows, got 2"):
+        sigma_squared(model)
 
 
 def test_sigma_squared_of_one_sample_spike_is_divergent():
