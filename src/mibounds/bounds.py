@@ -187,7 +187,7 @@ def _spectrum_from_states(family: StateFamily, prior: PriorDensity, k_range):
     return ks, family.period * power / float(g) ** 2
 
 
-def _spectral_report(ks, weights, prior_entropy_bits) -> BoundReport:
+def _spectral_report(ks, weights, prior_entropy_bits=0.0) -> BoundReport:
     """The spectral route's report for weights f_k on the window ks.
 
     Its bound is the spectrum entropy -sum f_k log2 f_k, the whole bound
@@ -196,14 +196,14 @@ def _spectral_report(ks, weights, prior_entropy_bits) -> BoundReport:
     1 beyond 1e-9; 1 - mass bounds the weight outside the window, and more
     than 1e-9 of it flags "truncated_spectrum".
     """
-    total = float(weights.sum())
+    spectrum = FourierSpectrum(ks, weights)
+    total = float(spectrum.weights.sum())
     if not total <= 1.0 + 1e-9:  # fails on NaN and inf too
         raise NumericalFailureError(
             f"spectrum mass {total:.12g} is not finite or exceeds 1; "
             "grid or inputs are inconsistent"
         )
     tail = max(0.0, 1.0 - total)
-    spectrum = FourierSpectrum(ks, weights)
     return BoundReport(
         method="fourier",
         bound_bits=spectrum.entropy_bits(),
@@ -212,6 +212,13 @@ def _spectral_report(ks, weights, prior_entropy_bits) -> BoundReport:
         flags=("truncated_spectrum",) if tail > 1e-9 else (),
         spectrum=spectrum,
     )
+
+
+def _with_prior_term(report: BoundReport, prior: PriorDensity) -> BoundReport:
+    """report shifted by its prior's term -log2 L + H(phi)."""
+    bound = report.bound_bits - np.log2(prior.period) + prior.entropy_bits
+    return replace(report, bound_bits=float(bound),
+                   prior_entropy_bits=float(prior.entropy_bits))
 
 
 def fourier_bound_from_states(
@@ -230,10 +237,8 @@ def fourier_bound_from_states(
     Both give identical weights. Raises NumericalFailureError when the
     spectrum mass is not finite or exceeds 1.
     """
-    report = _spectral_report(*_spectrum_from_states(family, prior, k_range),
-                              float(prior.entropy_bits))
-    bound = report.bound_bits - np.log2(prior.period) + prior.entropy_bits
-    return replace(report, bound_bits=float(bound))
+    return _with_prior_term(
+        _spectral_report(*_spectrum_from_states(family, prior, k_range)), prior)
 
 
 def fourier_bound_from_overlap(f: PeriodicGridFunction) -> BoundReport:
@@ -250,14 +255,12 @@ def fourier_bound_from_overlap(f: PeriodicGridFunction) -> BoundReport:
     ks, coeffs = fourier_modes(f, (-half, half))
     if np.max(np.abs(coeffs.imag)) > 1e-9:
         raise NumericalFailureError("overlap spectrum has non-real coefficients")
-    weights = coeffs.real
-    if np.any(weights < -1e-10):
+    if np.any(coeffs.real < -1e-10):
         raise NumericalFailureError(
             "overlap spectrum has negative weights beyond tolerance"
         )
     # the uniform prior's entropy log2 L cancels in the bound
-    return _spectral_report(ks, np.clip(weights, 0.0, None),
-                            float(np.log2(f.period)))
+    return _spectral_report(ks, coeffs.real, float(np.log2(f.period)))
 
 
 def _has_step(f):
@@ -356,11 +359,7 @@ def fisher_bound(sigma2: float) -> BoundReport:
 def fisher_bound_from_model(model: EstimationModel) -> BoundReport:
     """Fisher-route bound of an outcome model: fisher_bound of its
     sigma_squared, shifted by -log2 L + H(phi) of its prior."""
-    prior = model.prior
-    report = fisher_bound(sigma_squared(model))
-    bound = report.bound_bits - np.log2(prior.period) + prior.entropy_bits
-    return replace(report, bound_bits=float(bound),
-                   prior_entropy_bits=float(prior.entropy_bits))
+    return _with_prior_term(fisher_bound(sigma_squared(model)), model.prior)
 
 
 def nonperiodic_fourier_bound(family_fn, prior_fn, support) -> BoundReport:
@@ -379,74 +378,61 @@ def nonperiodic_fourier_bound(family_fn, prior_fn, support) -> BoundReport:
     deficit eps would otherwise bias the bound by -eps bits per window
     doubling and fake a drift.
 
-    Raises NonConvergenceError if the last doubling still moved the
-    result by more than 1e-3 bits, or if the band cannot be made wide
-    enough to capture the spectrum.
+    Returns the last window's fourier_bound_from_states report as method
+    "fourier-nonperiodic", history the (window, bits) pairs, and flags
+    "finite_support", "band_widened" (the band was doubled),
+    "slow_convergence" (the last doubling moved 1e-4 to 1e-3 bits), then
+    the states report's own: "truncated_spectrum" if the band missed 1e-9
+    to 1e-8 of the mass, as a Gaussian sigma = 0.1 prior on (-0.5, 0.5)
+    does (9.0e-9). Raises NonConvergenceError if the band cannot be made
+    wide enough or the last doubling moved more than 1e-3 bits.
     """
     a, b_end = float(support[0]), float(support[1])
     if not b_end > a:
         raise ValidationError("support must be a nonempty interval (a, b)")
+    mid = 0.5 * (a + b_end)
     history = []
-    report = None
-    band_widened = False
     k_band = 16.0
     window = 4.0 * (b_end - a)
     for _ in range(7):
-        mid = 0.5 * (a + b_end)
-        start = mid - 0.5 * window
-        for widening in range(7):
+        for _ in range(7):
             n_side = int(np.ceil(k_band * window))
             n_grid = max(4 * n_side + 2, 256)  # even, as the grids need
-            phis = start + np.arange(n_grid) * (window / n_grid)
+            h = window / n_grid
+            phis = mid - 0.5 * window + np.arange(n_grid) * h
             dens = np.clip(np.asarray(prior_fn(phis), dtype=float), 0.0, None)
             dens[(phis < a) | (phis > b_end)] = 0.0
-            h = window / n_grid
             mass = dens.sum() * h
             if mass <= 0.0:
                 raise ValidationError("prior density vanishes on its support")
             if abs(mass - 1.0) > 1e-3:
                 raise NonNormalizedDensityError(
-                    f"prior mass on support is {mass:.6g}, expected about 1"
-                )
-            dens = dens / mass  # periodized prior is renormalized exactly
-            prior = PriorDensity(window, dens)
-            family = StateFamily(window, np.asarray(family_fn(phis), dtype=complex))
+                    f"prior mass on support is {mass:.6g}, expected about 1")
+            prior = PriorDensity(window, dens / mass)  # renormalized exactly
+            family = StateFamily(window, family_fn(phis))
             rep = fourier_bound_from_states(family, prior, (-n_side, n_side))
             if rep.tail_mass_bound <= 1e-8:
                 break
             k_band *= 2.0
-            band_widened = True
         else:
             raise NonConvergenceError(
-                "spectral band cannot be widened enough to capture the family"
-            )
+                "spectral band cannot be widened enough to capture the family")
+        delta = abs(rep.bound_bits - history[-1][1]) if history else math.inf
         history.append((window, rep.bound_bits))
-        if len(history) >= 2:
-            delta = abs(history[-1][1] - history[-2][1])
-            if delta < 1e-4:
-                report = rep
-                break
+        if delta < 1e-4:
+            break
         window *= 2.0
-    flags = ("finite_support",)
-    if band_widened:
-        flags = flags + ("band_widened",)
-    if report is None:
-        delta = abs(history[-1][1] - history[-2][1])
+    else:  # seven windows and the last doubling still moved the bound
         if delta > 1e-3:
             raise NonConvergenceError(
-                f"window doubling still moves the bound by {delta:.3g} bits"
-            )
-        report = rep
-        flags = flags + ("slow_convergence",)
-    return BoundReport(
-        method="fourier-nonperiodic",
-        bound_bits=report.bound_bits,
-        prior_entropy_bits=report.prior_entropy_bits,
-        tail_mass_bound=report.tail_mass_bound,
-        flags=flags + tuple(report.flags),
-        spectrum=report.spectrum,
-        history=tuple(history),
-    )
+                f"window doubling still moves the bound by {delta:.3g} bits")
+    flags = ("finite_support",)
+    if k_band > 16.0:
+        flags += ("band_widened",)
+    if delta >= 1e-4:
+        flags += ("slow_convergence",)
+    return replace(rep, method="fourier-nonperiodic", flags=flags + rep.flags,
+                   history=tuple(history))
 
 
 def mle_lower_bound(fisher: float) -> BoundReport:

@@ -139,14 +139,14 @@ def cmd_bound(args, command):
     if len(sources) != 1:
         raise ValidationError("pass exactly one of --channel/--model/--overlap")
     if not args.channel:
-        # a file takes neither channel parameter, and its kind fixes the
-        # method: both fail before the file is read
+        # a file takes neither channel parameter, and its kind sets the
+        # method (default fourier): a contradiction fails before the read
         for name in ("M", "eta"):
             if name in args.flags:
                 raise ValidationError(f"--{sources[0]} takes no {_flag(name)}")
         if args.overlap and args.method != "fourier":
             raise ValidationError("an overlap file implies --method fourier")
-        if args.model and args.method != "fisher":
+        if args.model and "method" in args.flags and args.method != "fisher":
             raise ValidationError("a conditional model implies --method fisher")
 
     if args.channel:

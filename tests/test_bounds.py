@@ -35,6 +35,7 @@ from mibounds.channels import (
 from mibounds.errors import (
     DomainError,
     GridTooCoarseError,
+    NonConvergenceError,
     NonNormalizedDensityError,
     NumericalFailureError,
     ValidationError,
@@ -422,6 +423,56 @@ def test_states_route_matches_chi_closed_form(kind, n_qubits, eta, extra):
     assert rep.flags == ()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=hst.sampled_from(CHANNEL_KINDS),
+    n_qubits=hst.integers(1, 6),
+    eta=hst.floats(0.0, 1.0),
+    period=hst.floats(0.1, 10.0),
+)
+def test_states_route_prior_term_is_invariant_under_the_period(
+        kind, n_qubits, eta, period):
+    """The channel family stretched to period L under the uniform prior:
+    the spectrum is the period-1 one and -log2 L + H(phi) = 0, so the bound
+    is chi on every period."""
+    model = NoisyQpeModel(kind, n_qubits, eta)
+    k_side = model.n_calls + 2
+    prior = PriorDensity.uniform(period, 4 * k_side + 2)
+    states = purified_state_family(model, prior.grid / period)
+    rep = fourier_bound_from_states(StateFamily(period, states), prior,
+                                    (-k_side, k_side))
+    assert abs(rep.bound_bits - chi_closed_form(model)) < 1e-8
+    assert rep.prior_entropy_bits == prior.entropy_bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=hst.integers(1, 8),
+    v=hst.floats(0.05, 0.99),
+    extra=hst.integers(0, 300),
+    period=hst.floats(0.1, 10.0),
+)
+def test_fisher_model_bound_is_invariant_under_the_period(k, v, extra,
+                                                          period):
+    """A cosine outcome model p1 = (1 + v cos 2 pi k phi / L) / 2 on the
+    uniform period-L prior: sigma^2 scales as L^2 F with F as 1 / L^2, and
+    the prior term -log2 L + H(phi) is 0, so the bound is the period-1 one.
+    The prior term's roundoff is absolute, a few ulp of log2 L, up to 6e-13
+    of the 0.0038-bit bound at k = 1, v = 0.05."""
+    n_grid = 8 * k + 2 * extra
+
+    def report(period):
+        prior = PriorDensity.uniform(period, n_grid)
+        p1 = 0.5 * (1.0 + v * np.cos(TWO_PI * k * prior.grid / period))
+        model = EstimationModel(prior, np.stack([p1, 1.0 - p1], axis=1))
+        return fisher_bound_from_model(model)
+
+    got, want = report(period), report(1.0)
+    assert abs(got.sigma2 - want.sigma2) <= 1e-12 * want.sigma2
+    assert abs(got.bound_bits - want.bound_bits) <= (
+        1e-12 * want.bound_bits + 1e-14)
+
+
 def test_bound_report_json_schema():
     rep = fisher_bound(1.0 / (16.0 * np.pi**2))
     d = rep.to_json_dict()
@@ -502,6 +553,69 @@ def test_nonperiodic_validation():
     prior_fn = lambda x: np.ones_like(x)
     with pytest.raises(ValidationError):
         nonperiodic_fourier_bound(fam, prior_fn, (0.5, 0.5))
+
+
+def scripted_nonperiodic(monkeypatch, script):
+    """nonperiodic_fourier_bound on a flat family under a narrow Gaussian
+    prior on (-0.5, 0.5), with each periodic evaluation replaced by
+    script(window index, band attempt), which returns (bits, tail, flags).
+    The windows are 4, 8, ..., 256, so the window index is log2(L / 4)."""
+    attempts = {}
+
+    def states_report(family, prior, k_range):
+        window = round(math.log2(prior.period / 4.0))
+        attempt = attempts[window] = attempts.get(window, -1) + 1
+        bits, tail, flags = script(window, attempt)
+        return BoundReport(method="fourier", bound_bits=bits,
+                           prior_entropy_bits=-2.0, tail_mass_bound=tail,
+                           flags=flags)
+
+    monkeypatch.setattr(bounds, "fourier_bound_from_states", states_report)
+    sig = 0.05
+    prior_fn = lambda x: np.exp(-(x**2) / (2 * sig**2)) / (
+        sig * np.sqrt(2 * np.pi)
+    )
+    const = lambda x: np.tile(np.array([1.0 + 0j, 0.0]), (len(x), 1))
+    return nonperiodic_fourier_bound(const, prior_fn, (-0.5, 0.5))
+
+
+def test_nonperiodic_band_never_captured(monkeypatch):
+    with pytest.raises(NonConvergenceError, match="band cannot be widened"):
+        scripted_nonperiodic(monkeypatch, lambda w, a: (1.0, 1e-6, ()))
+
+
+def test_nonperiodic_slow_convergence_is_flagged(monkeypatch):
+    """Seven windows whose last move is in (1e-4, 1e-3] bits."""
+    rep = scripted_nonperiodic(monkeypatch,
+                               lambda w, a: (1.0 + 5e-4 * w, 0.0, ()))
+    assert rep.method == "fourier-nonperiodic"
+    assert rep.flags == ("finite_support", "slow_convergence")
+    assert rep.history == tuple((4.0 * 2**w, 1.0 + 5e-4 * w) for w in range(7))
+    assert rep.bound_bits == 1.0 + 5e-4 * 6
+
+
+def test_nonperiodic_no_convergence_raises(monkeypatch):
+    """Seven windows whose last move is above 1e-3 bits."""
+    with pytest.raises(NonConvergenceError, match="window doubling"):
+        scripted_nonperiodic(monkeypatch,
+                             lambda w, a: (1.0 + 2e-3 * w, 0.0, ()))
+
+
+def test_nonperiodic_widened_band_keeps_the_states_report(monkeypatch):
+    """The first band misses 1e-6 of the mass; the widened one captures
+    all but 5e-9, which the states report flags itself."""
+    def script(window, attempt):
+        if window == 0 and attempt == 0:
+            return 0.5, 1e-6, ("truncated_spectrum",)
+        return 1.0 + 5e-5 * window, 5e-9, ("truncated_spectrum",)
+
+    rep = scripted_nonperiodic(monkeypatch, script)
+    assert rep.method == "fourier-nonperiodic"
+    assert rep.flags == ("finite_support", "band_widened",
+                         "truncated_spectrum")
+    assert rep.history == ((4.0, 1.0), (8.0, 1.0 + 5e-5))
+    assert (rep.bound_bits, rep.tail_mass_bound) == (1.0 + 5e-5, 5e-9)
+    assert rep.prior_entropy_bits == -2.0
 
 
 def test_entropic_uncertainty_nonnegative():

@@ -81,6 +81,14 @@ def write_cosine_model(path, n_grid=512):
     write_two_outcome_model(path, np.cos(np.pi * np.arange(n_grid) / n_grid) ** 2)
 
 
+def write_overlap(path, values):
+    """An --overlap file of values on the uniform grid phi = i / len."""
+    phis = np.arange(len(values)) / len(values)
+    path.write_text("phi,re,im\n" + "".join(
+        f"{float(p)!r},{float(v.real)!r},{float(v.imag)!r}\n"
+        for p, v in zip(phis, values)), encoding="utf-8")
+
+
 def test_bound_channel_fourier(capsys):
     code, out, _ = run_cli(
         capsys, "bound", "--channel", "dephasing", "--M", "2", "--eta", "1"
@@ -165,7 +173,8 @@ def test_bound_file_source_rejects_channel_parameters(capsys, tmp_path,
 @pytest.mark.parametrize("argv,message", [
     (["--overlap", "@missing", "--method", "fisher"],
      "an overlap file implies --method fourier"),
-    (["--model", "@missing"], "a conditional model implies --method fisher"),
+    (["--model", "@missing", "--method", "fourier"],
+     "a conditional model implies --method fisher"),
 ])
 def test_bound_method_is_checked_before_the_file_is_read(
         capsys, tmp_path, monkeypatch, argv, message):
@@ -324,20 +333,22 @@ def test_bound_model_csv(capsys, tmp_path):
 
 
 def test_bound_model_requires_fisher_method(capsys, tmp_path):
+    """A model file's kind sets the method: it needs no --method, and a
+    contradicting one is bad input."""
     model = tmp_path / "model.csv"
     write_cosine_model(model, 64)
-    code, _, err = run_cli(capsys, "bound", "--model", str(model))
-    assert code == 2 and "fisher" in err
+    code, out, _ = run_cli(capsys, "bound", "--model", str(model))
+    assert code == 0 and json.loads(out)["method"] == "fisher"
+    code, _, err = run_cli(capsys, "bound", "--model", str(model),
+                           "--method", "fourier")
+    assert code == 2
+    assert err == "error: a conditional model implies --method fisher\n"
 
 
 def test_bound_overlap_csv(capsys, tmp_path):
     phis = np.arange(128) / 128.0
-    f = 0.5 + 0.5 * np.exp(2j * np.pi * phis)
-    lines = ["phi,re,im"]
-    for phi, v in zip(phis, f):
-        lines.append(f"{float(phi)!r},{float(v.real)!r},{float(v.imag)!r}")
     overlap = tmp_path / "overlap.csv"
-    overlap.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_overlap(overlap, 0.5 + 0.5 * np.exp(2j * np.pi * phis))
     code, out, _ = run_cli(capsys, "bound", "--overlap", str(overlap))
     assert code == 0
     assert abs(json.loads(out)["bound_bits"] - 1.0) < 1e-9
@@ -437,6 +448,25 @@ def test_bound_overflowing_overlap_exits_three_with_one_line(capsys,
     assert code == 3 and out == ""
     assert err.startswith("numerical failure: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("coeffs,code,message", [
+    ([0.9], 2, "error: overlap must satisfy f(0) = 1 within 1e-8"),
+    ([0.5 - 0.1j, 0.5 + 0.1j], 3,
+     "numerical failure: overlap spectrum has non-real coefficients"),
+    ([0.6, 0.6, -0.2], 3,
+     "numerical failure: overlap spectrum has negative weights beyond"
+     " tolerance"),
+], ids=["f0-not-1", "non-real", "negative"])
+def test_bound_overlap_refusals(capsys, tmp_path, coeffs, code, message):
+    """f = sum_k c_k e^(i 2 pi k phi) on 64 rows: a constant 0.9 is not an
+    overlap, and complex or negative c_k are no spectral weights."""
+    phis = np.arange(64) / 64
+    overlap = tmp_path / "overlap.csv"
+    write_overlap(overlap, sum(c * np.exp(2j * np.pi * k * phis)
+                               for k, c in enumerate(coeffs)))
+    got, out, err = run_cli(capsys, "bound", "--overlap", str(overlap))
+    assert (got, out, err) == (code, "", message + "\n")
 
 
 def test_bound_ragged_csv_rejected(capsys, tmp_path):
