@@ -28,13 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ._lazy import np
-from .errors import (
-    DomainError,
-    NonConvergenceError,
-    NonNormalizedDensityError,
-    NumericalFailureError,
-    ValidationError,
-)
+from .errors import NumericalFailureError, ValidationError
 from .numerics import (
     LN2,
     TWO_PI,
@@ -79,7 +73,11 @@ class PriorDensity(PeriodicGridFunction):
 
     @classmethod
     def uniform(cls, period, n_grid):
-        return cls(period, np.full(n_grid, 1.0 / period))
+        # 1 / period is inf for a zero or subnormal period: no warning, as
+        # the period and finite-values checks refuse it
+        with np.errstate(over="ignore", divide="ignore"):
+            density = np.float64(1.0) / period
+        return cls(period, np.full(n_grid, density))
 
 
 @dataclass(frozen=True)
@@ -134,9 +132,7 @@ class EstimationModel:
         cond = np.clip(cond, 0.0, None)
         rows = cond.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-8:
-            raise NonNormalizedDensityError(
-                "conditional rows must sum to 1 within 1e-8"
-            )
+            raise ValidationError("conditional rows must sum to 1 within 1e-8")
         object.__setattr__(self, "conditional", cond)
 
 
@@ -338,7 +334,7 @@ def fisher_bound(sigma2: float) -> BoundReport:
     report carries the flag "below_max_entropy_envelope".
     """
     if sigma2 < 0.0:
-        raise DomainError("sigma2 must be nonnegative")
+        raise ValidationError("sigma2 must be nonnegative")
     if not math.isfinite(sigma2):
         return BoundReport(method="fisher", bound_bits=float("inf"),
                            prior_entropy_bits=0.0, sigma2=float("inf"),
@@ -384,7 +380,7 @@ def nonperiodic_fourier_bound(family_fn, prior_fn, support) -> BoundReport:
     "slow_convergence" (the last doubling moved 1e-4 to 1e-3 bits), then
     the states report's own: "truncated_spectrum" if the band missed 1e-9
     to 1e-8 of the mass, as a Gaussian sigma = 0.1 prior on (-0.5, 0.5)
-    does (9.0e-9). Raises NonConvergenceError if the band cannot be made
+    does (9.0e-9). Raises NumericalFailureError if the band cannot be made
     wide enough or the last doubling moved more than 1e-3 bits.
     """
     a, b_end = float(support[0]), float(support[1])
@@ -406,7 +402,7 @@ def nonperiodic_fourier_bound(family_fn, prior_fn, support) -> BoundReport:
             if mass <= 0.0:
                 raise ValidationError("prior density vanishes on its support")
             if abs(mass - 1.0) > 1e-3:
-                raise NonNormalizedDensityError(
+                raise ValidationError(
                     f"prior mass on support is {mass:.6g}, expected about 1")
             prior = PriorDensity(window, dens / mass)  # renormalized exactly
             family = StateFamily(window, family_fn(phis))
@@ -415,7 +411,7 @@ def nonperiodic_fourier_bound(family_fn, prior_fn, support) -> BoundReport:
                 break
             k_band *= 2.0
         else:
-            raise NonConvergenceError(
+            raise NumericalFailureError(
                 "spectral band cannot be widened enough to capture the family")
         delta = abs(rep.bound_bits - history[-1][1]) if history else math.inf
         history.append((window, rep.bound_bits))
@@ -424,7 +420,7 @@ def nonperiodic_fourier_bound(family_fn, prior_fn, support) -> BoundReport:
         window *= 2.0
     else:  # seven windows and the last doubling still moved the bound
         if delta > 1e-3:
-            raise NonConvergenceError(
+            raise NumericalFailureError(
                 f"window doubling still moves the bound by {delta:.3g} bits")
     flags = ("finite_support",)
     if k_band > 16.0:
@@ -443,7 +439,7 @@ def mle_lower_bound(fisher: float) -> BoundReport:
     above 2 pi e, hence the "asymptotic" flag.
     """
     if fisher <= 0.0:
-        raise DomainError("fisher must be positive for the MLE estimate")
+        raise ValidationError("fisher must be positive for the MLE estimate")
     return BoundReport(method="mle-lower", prior_entropy_bits=0.0,
                        bound_bits=0.5 * math.log2(fisher / (TWO_PI * math.e)),
                        flags=("asymptotic",))
@@ -462,7 +458,7 @@ def companion_bound_comparison(fisher: float):
     with fisher_form <= sqrt_form <= reference_form for every F >= 0.
     """
     if fisher < 0.0:
-        raise DomainError("fisher must be nonnegative")
+        raise ValidationError("fisher must be nonnegative")
     sigma2 = fisher_sigma2(fisher)
     fisher_form = fisher_curve_bits(sigma2)
     sqrt_form = math.log1p(math.sqrt(TWO_PI * math.e * sigma2)) / LN2
@@ -483,7 +479,7 @@ def entropic_uncertainty_check(c):
     c = np.asarray(c, dtype=complex)
     weights = np.abs(c) ** 2
     if abs(weights.sum() - 1.0) > 1e-8:
-        raise NonNormalizedDensityError("amplitudes must satisfy sum |c_k|^2 = 1")
+        raise ValidationError("amplitudes must satisfy sum |c_k|^2 = 1")
     density = coefficients_to_density(c, max(8192, 2 * c.size))
     # the synthesized density integrates to sum |c|^2 exactly (Parseval)
     phase_entropy = differential_entropy(density)

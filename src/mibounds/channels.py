@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .numerics import PeriodicGridFunction, binary_entropy
 
 CHANNEL_KINDS = ("dephasing", "amplitude-damping", "erasure")
@@ -50,7 +50,7 @@ class NoisyQpeModel:
         if not (1 <= int(self.n_qubits) <= MAX_QUBITS):
             raise ValidationError(f"n_qubits must be in 1..{MAX_QUBITS}")
         if not (0.0 <= self.eta <= 1.0):
-            raise DomainError("eta must lie in [0, 1]")
+            raise ValidationError("eta must lie in [0, 1]")
         object.__setattr__(self, "n_qubits", int(self.n_qubits))
         object.__setattr__(self, "eta", float(self.eta))
 

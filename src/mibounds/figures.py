@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .channels import NoisyQpeModel, chi_closed_form
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .numerics import (
     check_periodic_grid,
     check_points,
@@ -41,7 +41,7 @@ def _eta_sweep(name, title, value, M_max, eta_min, eta_max, n_eta):
         raise ValidationError("M_max must be at least 1")
     # fails on NaN
     if not (0.0 <= eta_min <= 1.0 and 0.0 <= eta_max <= 1.0):
-        raise DomainError("eta must lie in [0, 1]")
+        raise ValidationError("eta must lie in [0, 1]")
     n, m_max = int(n_eta), int(M_max)
     check_points(n * m_max, "n_eta x M_max rows")
     # np.linspace's arithmetic, so the etas are its values bit for bit: a

@@ -18,13 +18,7 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import np
-from .errors import (
-    DomainError,
-    GridTooCoarseError,
-    NonNormalizedDensityError,
-    NumericalFailureError,
-    ValidationError,
-)
+from .errors import NumericalFailureError, ValidationError
 
 LN2 = math.log(2.0)
 TWO_PI = 2.0 * math.pi
@@ -62,9 +56,8 @@ MAX_POINTS = 2**22
 
 def check_points(n_points, what):
     if n_points > MAX_POINTS:
-        raise DomainError(
-            f"{what} of {n_points} points exceeds the {MAX_POINTS}-point cap"
-        )
+        raise ValidationError(
+            f"{what} of {n_points} points exceeds the {MAX_POINTS}-point cap")
 
 
 @dataclass(frozen=True)
@@ -132,10 +125,9 @@ def _check_alias_window(n_grid, k_min, k_max):
         raise ValidationError("k_min must not exceed k_max")
     need = 2 * (abs(k_min) + abs(k_max)) + 2
     if n_grid < need:
-        raise GridTooCoarseError(
+        raise ValidationError(
             f"grid of {n_grid} points cannot resolve k in [{k_min}, {k_max}]"
-            f" (needs at least {need})"
-        )
+            f" (needs at least {need})")
 
 
 def fourier_modes(f: PeriodicGridFunction, k_range):
@@ -177,16 +169,15 @@ def differential_entropy(density: PeriodicGridFunction) -> float:
     h = density.period / density.n_grid
     total = float(p.sum() * h)
     if abs(total - 1.0) > 1e-6:
-        raise NonNormalizedDensityError(
-            f"density integrates to {total:.9g}, expected 1 within 1e-6"
-        )
+        raise ValidationError(
+            f"density integrates to {total:.9g}, expected 1 within 1e-6")
     return h * entropy_bits_of_weights(p)
 
 
 def binary_entropy(x: float) -> float:
     """H(x) = -x log2 x - (1-x) log2(1-x) on [0, 1], in bits."""
     if not (0.0 <= x <= 1.0):
-        raise DomainError(f"binary entropy argument {x!r} outside [0, 1]")
+        raise ValidationError(f"binary entropy argument {x!r} outside [0, 1]")
     out = 0.0
     if 0.0 < x:
         out -= x * math.log(x)
@@ -222,9 +213,8 @@ def coefficients_to_density(c, n_grid) -> PeriodicGridFunction:
     c = np.asarray(c, dtype=complex)
     n_grid = int(n_grid)
     if n_grid < 2 * c.size:
-        raise GridTooCoarseError(
-            f"synthesis grid {n_grid} too coarse for {c.size} amplitudes"
-        )
+        raise ValidationError(
+            f"synthesis grid {n_grid} too coarse for {c.size} amplitudes")
     return PeriodicGridFunction(1.0, synthesized_density(c, n_grid))
 
 
@@ -243,14 +233,14 @@ def discrete_gaussian_fit(sigma2: float):
     The one-sided sums run over 1 <= k <= 10 sigma + 12, where the dropped
     weights are below exp(-50) of the peak. sigma2 = 0 gives (inf, 0.0).
 
-    Raises DomainError if sigma2 is negative or not finite, or if the
+    Raises ValidationError if sigma2 is negative or not finite, or if the
     support needs more than MAX_POINTS points (sigma above about 2.1e5),
     before anything is allocated; NumericalFailureError if the second
     moment at the returned lam misses sigma2 by more than 1e-10 relative.
     The mass is 1 by construction.
     """
     if not (np.isfinite(sigma2) and sigma2 >= 0.0):
-        raise DomainError("sigma2 must be finite and nonnegative")
+        raise ValidationError("sigma2 must be finite and nonnegative")
     if sigma2 == 0.0:
         return float("inf"), 0.0
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from ._lazy import np
-from .errors import DomainError, GridTooCoarseError, ValidationError
+from .errors import ValidationError
 from .numerics import (
     LN2,
     PeriodicGridFunction,
@@ -84,7 +84,7 @@ def _entropy_grid(n_calls, n_grid):
     if n_grid is None:
         n_grid = max(default_grid(n_calls), 4096)
     if n_grid < 2 * (n_calls + 1):
-        raise GridTooCoarseError("entropy grid must be at least 2*(N+1)")
+        raise ValidationError("entropy grid must be at least 2*(N+1)")
     check_points(n_grid, "entropy grid")
     return int(n_grid)
 
@@ -406,10 +406,10 @@ def discrete_mi(joint) -> float:
     """Mutual information in bits of a nonnegative matrix (renormalized)."""
     joint = np.asarray(joint, dtype=float)
     if np.any(joint < 0.0):
-        raise DomainError("joint weights must be nonnegative")
+        raise ValidationError("joint weights must be nonnegative")
     mass = joint.sum()
     if not (math.isfinite(mass) and mass > 0.0):  # NaN or inf weights
-        raise DomainError("joint weights must have finite positive mass")
+        raise ValidationError("joint weights must have finite positive mass")
     p = joint / mass
     rows = p.sum(axis=1)
     cols = p.sum(axis=0)
@@ -431,10 +431,11 @@ def circulant_mi(r):
     """
     r = np.asarray(r, dtype=float)
     if (r < 0.0).any():
-        raise DomainError("circulant weights must be nonnegative")
+        raise ValidationError("circulant weights must be nonnegative")
     mass = r.sum(axis=-1, keepdims=True)
     if not (mass.min() > 0.0 and mass.max() < np.inf):  # NaN or inf weights
-        raise DomainError("circulant weights must have finite positive mass")
+        raise ValidationError(
+            "circulant weights must have finite positive mass")
     mi = np.log2(r.shape[-1]) - entropy_bits_of_weights(r / mass)
     return float(mi) if r.ndim == 1 else mi
 
@@ -461,7 +462,7 @@ def two_seed_experiment(pair: SeedPair, n_grid=256) -> TwoSeedResult:
     n_grid = int(n_grid)
     c = pair.state.coefficients.astype(complex)
     if n_grid < 8 * c.size:
-        raise GridTooCoarseError("two-seed grid must be at least 8*(N+1)")
+        raise ValidationError("two-seed grid must be at least 8*(N+1)")
     check_points(n_grid, "two-seed grid")
 
     # rows: the single seed, then seeds 1 and 2, from one batched FFT

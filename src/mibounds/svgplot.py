@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import ValidationError
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _MARGIN_L = 64.0
@@ -59,9 +61,7 @@ def _data_range(series, index, log_scale):
                     continue
                 v = math.log10(v)
             vals.append(v)
-    if not vals:
-        raise ValueError("no finite data to plot")
-    lo, hi = min(vals), max(vals)
+    lo, hi = (min(vals), max(vals)) if vals else (0.0, 0.0)
     if hi - lo < 1e-12:
         lo -= 0.5
         hi += 0.5
@@ -75,7 +75,7 @@ def render_line_plot(series, title="", x_label="", y_label="",
     with a linear y axis."""
     series = [(str(lab), list(xs), list(ys)) for lab, xs, ys in series]
     if not series:
-        raise ValueError("at least one series is required")
+        raise ValidationError("at least one series is required")
     x_lo, x_hi = _data_range(series, 0, log_x)
     y_lo, y_hi = _data_range(series, 1, False)
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R

@@ -5,7 +5,7 @@ to locate the transition between block sizes.
 """
 
 from mibounds.channels import MAX_QUBITS
-from mibounds.errors import DomainError, ValidationError
+from mibounds.errors import ValidationError
 from mibounds.qpe_strategy import enhancement_term
 
 
@@ -16,7 +16,7 @@ def optimal_block_size(eta: float, m_max: int = 12) -> int:
     the top qubits decohere first and the optimum falls to M = 1.
     """
     if not (0.0 < eta <= 1.0):
-        raise DomainError("eta must lie in (0, 1]")
+        raise ValidationError("eta must lie in (0, 1]")
     if not (1 <= int(m_max) <= MAX_QUBITS):
         raise ValidationError(f"m_max must be in 1..{MAX_QUBITS}")
     best_m, best_val = 1, float("-inf")
@@ -42,7 +42,7 @@ def block_size_crossing(m_low: int, m_high: int) -> float:
 
     lo, hi = 1e-6, 1.0
     if not (gap(lo) > 0.0 > gap(hi)):
-        raise DomainError(
+        raise ValidationError(
             f"no crossing between M={m_low} and M={m_high} on [{lo:g}, {hi:g}]"
         )
     while hi - lo > 1e-10:

@@ -25,7 +25,7 @@ from mibounds.channels import (
     overlap_function,
     purified_state_family,
 )
-from mibounds.errors import DomainError, ValidationError
+from mibounds.errors import ValidationError
 from mibounds.numerics import (
     binary_entropy,
     entropy_bits_of_weights,
@@ -40,9 +40,9 @@ def test_model_validation():
         NoisyQpeModel("dephasing", 0, 0.5)
     with pytest.raises(ValidationError):
         NoisyQpeModel("dephasing", 31, 0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match=r"eta must lie in \[0, 1\]"):
         NoisyQpeModel("dephasing", 2, 1.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match=r"eta must lie in \[0, 1\]"):
         NoisyQpeModel("erasure", 2, -0.1)
 
 

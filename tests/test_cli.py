@@ -469,6 +469,42 @@ def test_bound_overlap_refusals(capsys, tmp_path, coeffs, code, message):
     assert (got, out, err) == (code, "", message + "\n")
 
 
+HUGE_PHIS = ("0", "1e308", "2e308", "3e308")  # 2e308 reads as inf
+TINY_PHIS = tuple(repr(i * 1e-320) for i in range(4))
+
+
+@pytest.mark.parametrize("source,phis,message", [
+    ("overlap", HUGE_PHIS, "period must be finite and positive"),
+    ("model", HUGE_PHIS, "period must be finite and positive"),
+    ("model", TINY_PHIS, "values must be finite"),
+], ids=["overlap-huge", "model-huge", "model-subnormal-step"])
+def test_bound_file_grid_past_float_range_exits_two(capsys, tmp_path, source,
+                                                     phis, message):
+    """A phi grid whose period overflows, or a subnormal step whose uniform
+    prior 1 / period overflows, is bad input: one message line and no numpy
+    warning (pytest turns warnings into errors)."""
+    cells = "phi,re" if source == "overlap" else "phi,p1,p2"
+    row = ",1.0" if source == "overlap" else ",0.5,0.5"
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join([cells] + [phi + row for phi in phis]) + "\n",
+                    encoding="utf-8")
+    got = run_cli(capsys, "bound", f"--{source}", str(path))
+    assert got == (2, "", f"error: {message}\n")
+
+
+def test_bound_overlap_on_a_subnormal_step_is_a_bound(capsys, tmp_path):
+    """A constant overlap on phi = i * 1e-320 has period 4e-320: the bound is
+    0 bits and the prior term log2(4e-320), with no warning."""
+    path = tmp_path / "tiny.csv"
+    path.write_text("phi,re\n" + "".join(f"{phi},1.0\n" for phi in TINY_PHIS),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "bound", "--overlap", str(path))
+    report = json.loads(out)
+    assert (code, err, report["flags"]) == (0, "", [])
+    assert report["bound_bits"] == 0.0
+    assert report["prior_entropy_bits"] == pytest.approx(math.log2(4e-320))
+
+
 def test_bound_ragged_csv_rejected(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("phi,p1,p2\n0.0,0.5,0.5\n0.5,0.5\n", encoding="utf-8")
@@ -553,6 +589,20 @@ def test_figure_nonfinite_range_end_exits_two_without_a_warning(
                                  "--out-dir", str(tmp_path))
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert not list(tmp_path.iterdir())
+
+
+def test_figure_with_no_finite_value_draws_empty_axes(capsys, tmp_path):
+    """At eta = 5e-324 the Fisher information underflows and every
+    enhancement term is -inf: the CSV says so and the SVG has axes and a
+    legend but no curve."""
+    code, _, err = run_cli(capsys, "figure", "transition", "--eta-min",
+                           "5e-324", "--eta-max", "1", "--n-eta", "1",
+                           "--svg", "--out-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    rows = (tmp_path / "transition.csv").read_text().splitlines()[4:]
+    assert rows and all(row.endswith(",-inf") for row in rows)
+    svg = (tmp_path / "transition.svg").read_text()
+    assert "<polyline" not in svg and "M=1" in svg
 
 
 def test_figure_unknown_name(capsys):

@@ -123,6 +123,15 @@ def test_svg_handles_log_and_flat_data():
     assert "0.1" in svg and "10" in svg  # decade tick labels
 
 
+def test_svg_with_no_finite_value_draws_empty_axes():
+    """No finite y gives the flat-data range, 0 +- 0.5, and no curve."""
+    svg = render_line_plot([("curve", [0.1, 1.0], [-np.inf, np.nan])])
+    ET.fromstring(svg)
+    assert "<polyline" not in svg and ">0</text>" in svg
+    with pytest.raises(ValidationError, match="at least one series"):
+        render_line_plot([])
+
+
 def test_check_suite_names():
     assert set(SUITES) == {"numerics", "bounds", "channels", "protocols"}
     with pytest.raises(ValidationError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 from hypothesis.extra.numpy import arrays
 
 from mibounds import protocols
-from mibounds.errors import DomainError, GridTooCoarseError, ValidationError
+from mibounds.errors import ValidationError
 from mibounds.protocols import (
     EntangledState,
     SeedPair,
@@ -65,7 +65,7 @@ def test_fourier_bound_ceiling():
 
 
 def test_posterior_entropy_grid_guard():
-    with pytest.raises(GridTooCoarseError):
+    with pytest.raises(ValidationError, match=r"at least 2\*\(N\+1\)"):
         posterior_entropy(EntangledState.uniform(7), 8)
     assert default_grid(7) == 128
 
@@ -317,11 +317,11 @@ def test_discrete_mi_matches_posterior_entropy():
 
 
 def test_discrete_mi_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="weights must be nonnegative"):
         discrete_mi(np.array([[0.5, -0.1], [0.3, 0.3]]))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="finite positive mass"):
         discrete_mi(np.zeros((4, 4)))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="finite positive mass"):
         discrete_mi(np.array([[np.nan, 1.0], [0.5, 0.5]]))
     # independent rows and columns carry no information
     assert abs(discrete_mi(np.full((8, 8), 1.0 / 64.0))) < 1e-12
@@ -343,12 +343,12 @@ def test_circulant_mi_matches_matrix_oracle(weights):
 
 
 def test_circulant_mi_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="weights must be nonnegative"):
         circulant_mi(np.array([0.5, -0.1, 0.3]))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="finite positive mass"):
         circulant_mi(np.zeros(4))
     for bad in (np.nan, np.inf):  # refused, not carried into the MI
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="finite positive mass"):
             circulant_mi(np.array([bad, 1.0, 0.5, 0.5]))
     assert abs(circulant_mi(np.ones(8))) < 1e-12
     assert circulant_mi(np.array([0.0, 0.0, 2.0, 0.0])) == 2.0
@@ -365,13 +365,15 @@ def test_circulant_mi_rows_match_one_dimensional_calls(r):
 
 
 def test_circulant_mi_checks_every_row():
-    bad_rows = ([0.5, -0.1, 0.3, 0.2], [0.0] * 4,
-                [np.nan, 1.0, 0.5, 0.5], [np.inf, 1.0, 0.5, 0.5])
+    bad_rows = (([0.5, -0.1, 0.3, 0.2], "weights must be nonnegative"),
+                ([0.0] * 4, "finite positive mass"),
+                ([np.nan, 1.0, 0.5, 0.5], "finite positive mass"),
+                ([np.inf, 1.0, 0.5, 0.5], "finite positive mass"))
     for row in range(3):
-        for bad in bad_rows:
+        for bad, message in bad_rows:
             r = np.ones((3, 4))
             r[row] = bad
-            with pytest.raises(DomainError):
+            with pytest.raises(ValidationError, match=message):
                 circulant_mi(r)
 
 
@@ -490,7 +492,7 @@ def test_two_seed_balanced_split_changes_nothing():
 def test_two_seed_grid_guard():
     st = EntangledState.uniform(3)
     half = np.full(4, 1.0 / np.sqrt(2.0), dtype=complex)
-    with pytest.raises(GridTooCoarseError):
+    with pytest.raises(ValidationError, match=r"at least 8\*\(N\+1\)"):
         two_seed_experiment(SeedPair(st, half, half), n_grid=16)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from block_size import block_size_crossing, optimal_block_size
-from mibounds.errors import DomainError, ValidationError
+from mibounds.errors import ValidationError
 from mibounds.qpe_strategy import enhancement_term
 
 
@@ -30,7 +30,7 @@ def test_optimal_block_size_by_noise_level():
     assert optimal_block_size(0.55) == 2
     assert optimal_block_size(0.99, m_max=12) == 8
     assert optimal_block_size(1.0, m_max=6) == 6  # unbounded growth at eta=1
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match=r"eta must lie in \(0, 1\]"):
         optimal_block_size(0.0)
 
 
