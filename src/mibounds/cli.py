@@ -122,14 +122,15 @@ def _read_table(path):
 
 
 def _uniform_grid_period(phis, path):
-    # inf or NaN from an overflow stays quiet; the period check refuses it
+    # inf or NaN from an overflow stays quiet; the period check refuses a
+    # period that is not finite, and `not <=` refuses a NaN phi on a finite one
     with np.errstate(over="ignore", invalid="ignore"):
         step = phis[1] - phis[0] if phis.size > 1 else 0.0
         period = step * phis.size
         off_grid = np.max(np.abs(phis - phis[0] - step * np.arange(phis.size)))
     if step <= 0.0:
         raise ValidationError(f"{path}: phi column must be increasing")
-    if off_grid > 1e-9 * period:
+    if np.isfinite(period) and not off_grid <= 1e-9 * period:
         raise ValidationError(f"{path}: phi values must form a uniform grid")
     if abs(phis[0]) > 1e-12 * period:
         raise ValidationError(f"{path}: phi grid must start at 0")
@@ -168,7 +169,7 @@ def cmd_bound(args, command):
             report = fisher_bound(fisher_sigma2(dephasing_qfi(model)))
     elif args.overlap:
         data = _read_table(args.overlap)
-        if data.shape[1] < 2:
+        if not 2 <= data.shape[1] <= 3:
             raise ValidationError("overlap file needs phi and re[,im] columns")
         period = _uniform_grid_period(data[:, 0], args.overlap)
         vals = data[:, 1] + (1j * data[:, 2] if data.shape[1] > 2 else 0.0)

@@ -26,11 +26,25 @@ def _fmt(x) -> str:
     return f"{x:.6g}"
 
 
+def _el(tag, body=None, **attrs) -> str:
+    """One SVG element: `_` in a name becomes `-`; a string value passes,
+    a number goes through _fmt, None is left out; no body self-closes."""
+    head = tag + "".join(
+        f' {name.replace("_", "-")}="{v if isinstance(v, str) else _fmt(v)}"'
+        for name, v in attrs.items() if v is not None)
+    return f"<{head}/>" if body is None else f"<{head}>{body}</{tag}>"
+
+
+def _text(body, x, y, size, anchor="middle", **attrs) -> str:
+    """A sans-serif label; anchor=None keeps SVG's default, start."""
+    return _el("text", body, x=x, y=y, text_anchor=anchor,
+               font_family="sans-serif", font_size=size, **attrs)
+
+
 def _tick_values(lo, hi, log_scale):
     if log_scale:
-        first = int(math.ceil(lo - 1e-9))
-        last = int(math.floor(hi + 1e-9))
-        ticks = [float(d) for d in range(first, last + 1)]
+        decades = range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1)
+        ticks = [float(d) for d in decades]
         if len(ticks) >= 2:
             return ticks
     span = hi - lo
@@ -39,28 +53,18 @@ def _tick_values(lo, hi, log_scale):
         if span / (step * mult) <= 5.5:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
         t += step
     return ticks
 
 
-def _data_range(series, index, log_scale):
-    vals = []
-    for _, xs, ys in series:
-        seq = xs if index == 0 else ys
-        for v in seq:
-            v = float(v)
-            if not math.isfinite(v):
-                continue
-            if log_scale:
-                if v <= 0.0:
-                    continue
-                v = math.log10(v)
-            vals.append(v)
+def _data_range(values, log_scale):
+    vals = [v for v in map(float, values) if math.isfinite(v)]
+    if log_scale:
+        vals = [math.log10(v) for v in vals if v > 0.0]
     lo, hi = (min(vals), max(vals)) if vals else (0.0, 0.0)
     if hi - lo < 1e-12:
         lo -= 0.5
@@ -76,16 +80,16 @@ def render_line_plot(series, title="", x_label="", y_label="",
     series = [(str(lab), list(xs), list(ys)) for lab, xs, ys in series]
     if not series:
         raise ValidationError("at least one series is required")
-    x_lo, x_hi = _data_range(series, 0, log_x)
-    y_lo, y_hi = _data_range(series, 1, False)
+    x_lo, x_hi = _data_range((x for _, xs, _ in series for x in xs), log_x)
+    y_lo, y_hi = _data_range((y for _, _, ys in series for y in ys), False)
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    right, bottom = _MARGIN_L + plot_w, _MARGIN_T + plot_h
 
-    def sx(v):
-        t = math.log10(v) if log_x else v
+    def px(t):  # t is log10(x) on a log axis
         return _MARGIN_L + (t - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(v):
+    def py(v):
         return _MARGIN_T + (1.0 - (v - y_lo) / (y_hi - y_lo)) * plot_h
 
     out = [
@@ -94,81 +98,40 @@ def render_line_plot(series, title="", x_label="", y_label="",
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
-        out.append(
-            f'<text x="{_fmt(_WIDTH / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
-
+        out.append(_text(title, _WIDTH / 2, 20, 14))
     for t in _tick_values(x_lo, x_hi, log_x):
-        px = _MARGIN_L + (t - x_lo) / (x_hi - x_lo) * plot_w
-        label = _fmt(10.0 ** t) if log_x else _fmt(t)
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(_MARGIN_T)}" x2="{_fmt(px)}" '
-            f'y2="{_fmt(_MARGIN_T + plot_h)}" stroke="#dddddd"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(_MARGIN_T + plot_h + 16)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-            f"{label}</text>"
-        )
+        x = px(t)
+        out.append(_el("line", x1=x, y1=_MARGIN_T, x2=x, y2=bottom,
+                       stroke="#dddddd"))
+        out.append(_text(_fmt(10.0 ** t if log_x else t), x, bottom + 16, 11))
     for t in _tick_values(y_lo, y_hi, False):
-        py = sy(t)
-        label = _fmt(t)
-        out.append(
-            f'<line x1="{_fmt(_MARGIN_L)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(_MARGIN_L + plot_w)}" y2="{_fmt(py)}" stroke="#dddddd"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(_MARGIN_L - 6)}" y="{_fmt(py + 4)}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="11">'
-            f"{label}</text>"
-        )
-
-    frame = (
-        f'<rect x="{_fmt(_MARGIN_L)}" y="{_fmt(_MARGIN_T)}" '
-        f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
-        f'fill="none" stroke="black"/>'
-    )
-    out.append(frame)
+        y = py(t)
+        out.append(_el("line", x1=_MARGIN_L, y1=y, x2=right, y2=y,
+                       stroke="#dddddd"))
+        out.append(_text(_fmt(t), _MARGIN_L - 6, y + 4, 11, anchor="end"))
+    out.append(_el("rect", x=_MARGIN_L, y=_MARGIN_T, width=plot_w,
+                   height=plot_h, fill="none", stroke="black"))
     if x_label:
-        out.append(
-            f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(_HEIGHT - 10)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{x_label}</text>"
-        )
+        out.append(_text(x_label, _MARGIN_L + plot_w / 2, _HEIGHT - 10, 12))
     if y_label:
         cx, cy = 16.0, _MARGIN_T + plot_h / 2
-        out.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{y_label}</text>'
-        )
+        out.append(_text(y_label, cx, cy, 12,
+                         transform=f"rotate(-90 {_fmt(cx)} {_fmt(cy)})"))
 
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = []
-        for x, y in zip(xs, ys):
-            x, y = float(x), float(y)
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if log_x and x <= 0.0:
-                continue
-            pts.append(f"{_fmt(sx(x))},{_fmt(sy(y))}")
+        pts = [f"{_fmt(px(math.log10(x) if log_x else x))},{_fmt(py(y))}"
+               for x, y in zip(map(float, xs), map(float, ys))
+               if math.isfinite(x) and math.isfinite(y)
+               and not (log_x and x <= 0.0)]
         if pts:
-            out.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{" ".join(pts)}"/>'
-            )
+            out.append(_el("polyline", fill="none", stroke=color,
+                           stroke_width=1.5, points=" ".join(pts)))
         ly = _MARGIN_T + 14 + 16 * i
-        lx = _MARGIN_L + plot_w - 120
-        out.append(
-            f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 22)}" '
-            f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="1.5"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(lx + 28)}" y="{_fmt(ly)}" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        lx = right - 120
+        out.append(_el("line", x1=lx, y1=ly - 4, x2=lx + 22, y2=ly - 4,
+                       stroke=color, stroke_width=1.5))
+        out.append(_text(label, lx + 28, ly, 11, anchor=None))
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -393,7 +393,7 @@ def _spike(n_grid):
     return p1
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 @pytest.mark.parametrize("p1,exact", [
     # k = 1, v = 0.9: exact sigma^2 = (1 - sqrt(1 - v^2)) / 4; central
     # differences on 8 rows give 0.110002
@@ -490,6 +490,33 @@ def test_bound_file_grid_past_float_range_exits_two(capsys, tmp_path, source,
                     encoding="utf-8")
     got = run_cli(capsys, "bound", f"--{source}", str(path))
     assert got == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("source", ["overlap", "model"])
+@pytest.mark.parametrize("phis", [("0", "0.25", "0.5", "nan"),
+                                  ("0", "0.25", "nan", "0.75")],
+                         ids=["last", "interior"])
+def test_bound_file_with_a_nan_phi_exits_two(capsys, tmp_path, source, phis):
+    """A NaN phi cell is off every uniform grid: one message line and no
+    numpy warning (pytest turns warnings into errors)."""
+    cells = "phi,re" if source == "overlap" else "phi,p1,p2"
+    row = ",1.0" if source == "overlap" else ",0.5,0.5"
+    path = tmp_path / "nan.csv"
+    path.write_text("\n".join([cells] + [phi + row for phi in phis]) + "\n",
+                    encoding="utf-8")
+    got = run_cli(capsys, "bound", f"--{source}", str(path))
+    assert got == (2, "", f"error: {path}: phi values must form a uniform "
+                          "grid\n")
+
+
+def test_bound_overlap_with_a_fourth_column_exits_two(capsys, tmp_path):
+    """An overlap file is phi, re and an optional im: a fourth column is
+    refused, not ignored."""
+    path = tmp_path / "wide.csv"
+    path.write_text("phi,re,im,junk\n" + "".join(
+        f"{i / 64!r},1.0,0.0,7\n" for i in range(64)), encoding="utf-8")
+    got = run_cli(capsys, "bound", "--overlap", str(path))
+    assert got == (2, "", "error: overlap file needs phi and re[,im] columns\n")
 
 
 def test_bound_overlap_on_a_subnormal_step_is_a_bound(capsys, tmp_path):

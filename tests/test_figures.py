@@ -1,5 +1,6 @@
 """Figure datasets, the SVG renderer, and the named check suites."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -130,6 +131,40 @@ def test_svg_with_no_finite_value_draws_empty_axes():
     assert "<polyline" not in svg and ">0</text>" in svg
     with pytest.raises(ValidationError, match="at least one series"):
         render_line_plot([])
+
+
+SVG_DIGESTS = {
+    "linear-labelled": (
+        [("first", [0.0, 1.0, 2.0], [1.0, 3.0, 2.0]),
+         ("second", [0.0, 1.0, 2.0], [2.0, 0.5, 1.5])],
+        dict(title="demo", x_label="x", y_label="y"),
+        "376766a5de5b70e1eb75008ee55181164d73e44fc4ac5a9e4d2df9955ba3e398"),
+    "log-x-flat-y": (
+        [("curve", [0.1, 1.0, 10.0], [5.0, 5.0, 5.0])], dict(log_x=True),
+        "7833c052e6f5a5461c3c6ddec954a6c1bdbca41ee83db417f995cb8da56b4915"),
+    "no-finite-y": (
+        [("curve", [0.1, 1.0], [-np.inf, np.nan])], {},
+        "7a157c57ba32a21d576922d2ed6583b390ffd1a257262ce1db999a7f5ae17339"),
+    # seven series: the six-colour palette wraps
+    "palette-wraps": (
+        [(f"M={i}", [0, 1, 2, 3], [i, i + 0.5, 2 * i, 1.0]) for i in range(7)],
+        dict(title="seven"),
+        "0fb224450918dfd8c5ca1143a23524dc51567596304be3eac6a4362529b0306e"),
+    # x <= 0 has no place on a log axis and inf y none on any axis
+    "log-x-nonpositive-x-inf-y": (
+        [("a", [-1.0, 0.0, 0.01, 1.0, 100.0], [1.0, 2.0, np.inf, 3.0, 4.0]),
+         ("b", [0.5, 5.0], [0.0, -2.5])],
+        dict(x_label="eta", log_x=True),
+        "8f903b34ddfc7ba69fdd78aa11459bf356ba21b79a89b7addda84eec7c6154f9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SVG_DIGESTS))
+def test_svg_bytes_are_pinned(name):
+    """The rendered document is byte for byte the one these digests record."""
+    series, options, digest = SVG_DIGESTS[name]
+    svg = render_line_plot(series, **options)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
 
 
 def test_check_suite_names():
