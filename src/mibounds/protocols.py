@@ -10,7 +10,10 @@ posterior entropy; the spectrum entropy -sum c_k^2 log2 c_k^2 caps the
 achievable information at log2(N+1). Real c make p even, so the entropy
 and its gradient run real-input FFTs over half the grid. The optimizer
 is the package's own numpy L-BFGS (minimize), so numpy is the only
-run-time dependency.
+run-time dependency. Each optimize_en_state call allocates one
+half-spectrum workspace that every start and evaluation overwrites
+(numpy.fft's out=, numpy >= 2.0), so no evaluation allocates an array
+of grid size.
 
 The two-seed experiment compares a single covariant seed against a pair
 of seeds measured jointly or sorted into sub-ensembles, reporting the
@@ -89,14 +92,27 @@ def _entropy_grid(n_calls, n_grid):
     return int(n_grid)
 
 
-def _entropy_and_grad(c, n_grid, grad=False):
+def _workspace(n_grid):
+    """_entropy_and_grad's buffers on a G-point grid: the half spectrum,
+    p and log p (G//2 + 1 each) and the irfft output (G)."""
+    m = n_grid // 2 + 1
+    return np.empty(m, complex), np.empty(m), np.empty(m), np.empty(n_grid)
+
+
+def _entropy_and_grad(c, n_grid, grad=False, work=None):
     """-sum p log2 p / G over the G-point posterior of unit-norm real c,
     and with grad=True its gradient in c. Real c make p even, so rfft(c)_j
     = conj(amp_j), j = 0..G//2, holds every distinct sample once; all but
-    j = 0 and, for even G, j = G/2 stand for two."""
-    half = np.fft.rfft(c, n_grid)
-    p = half.real**2 + half.imag**2
-    logp = np.log(np.maximum(p, 1e-300))
+    j = 0 and, for even G, j = G/2 stand for two.
+
+    Every call overwrites work, a _workspace(n_grid) (by default a fresh
+    one); the returned gradient is a new array that shares none of it."""
+    half, p, logp, full = _workspace(n_grid) if work is None else work
+    np.fft.rfft(c, n_grid, out=half)
+    np.square(half.real, out=p)
+    np.square(half.imag, out=logp)  # logp holds imag^2 until the log
+    p += logp
+    np.log(np.maximum(p, 1e-300, out=logp), out=logp)
     plogp = 2.0 * (p @ logp) - p[0] * logp[0]
     if n_grid % 2 == 0:
         plogp -= p[-1] * logp[-1]
@@ -104,7 +120,9 @@ def _entropy_and_grad(c, n_grid, grad=False):
     if not grad:
         return float(val)
     # dp_j/dc_k = 2 Re(conj(amp_j) e^{i 2 pi jk/G}): summed over j, one irfft
-    g_c = -(2.0 / LN2) * np.fft.irfft((1.0 + logp) * half, n_grid)[: c.size]
+    logp += 1.0
+    np.multiply(logp, half, out=half)
+    g_c = -(2.0 / LN2) * np.fft.irfft(half, n_grid, out=full)[: c.size]
     return float(val), g_c
 
 
@@ -340,11 +358,12 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None):
     if int(restarts) < 1:
         raise ValidationError("restarts must be at least 1")
     n_grid = _entropy_grid(int(n_calls), n_grid)
+    work = _workspace(n_grid)  # shared by every start and evaluation
 
     def value_and_grad(x):
         r = np.linalg.norm(x)
         c = x / r
-        val, g_c = _entropy_and_grad(c, n_grid, grad=True)
+        val, g_c = _entropy_and_grad(c, n_grid, grad=True, work=work)
         return val, (g_c - float(g_c @ c) * c) / r  # without the scale direction
 
     starts = [np.full(n, 1.0)]

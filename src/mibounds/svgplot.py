@@ -26,13 +26,21 @@ def _fmt(x) -> str:
     return f"{x:.6g}"
 
 
+def _escape(text) -> str:
+    """Text as XML character data or a quoted attribute value."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;"))
+
+
 def _el(tag, body=None, **attrs) -> str:
-    """One SVG element: `_` in a name becomes `-`; a string value passes,
-    a number goes through _fmt, None is left out; no body self-closes."""
+    """One SVG element: `_` in a name becomes `-`; a string value is
+    escaped, a number goes through _fmt, None is left out; the body is
+    escaped, and no body self-closes."""
     head = tag + "".join(
-        f' {name.replace("_", "-")}="{v if isinstance(v, str) else _fmt(v)}"'
+        f' {name.replace("_", "-")}="'
+        f'{_escape(v) if isinstance(v, str) else _fmt(v)}"'
         for name, v in attrs.items() if v is not None)
-    return f"<{head}/>" if body is None else f"<{head}>{body}</{tag}>"
+    return f"<{head}/>" if body is None else f"<{head}>{_escape(body)}</{tag}>"
 
 
 def _text(body, x, y, size, anchor="middle", **attrs) -> str:

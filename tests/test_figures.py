@@ -17,7 +17,9 @@ from mibounds.figures import (
     figure_entropy2,
     figure_transition,
 )
-from mibounds.svgplot import render_line_plot
+from mibounds.svgplot import _el, render_line_plot
+
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def test_figures_registry():
@@ -131,6 +133,18 @@ def test_svg_with_no_finite_value_draws_empty_axes():
     assert "<polyline" not in svg and ">0</text>" in svg
     with pytest.raises(ValidationError, match="at least one series"):
         render_line_plot([])
+
+
+def test_svg_escapes_markup_in_labels():
+    """&, < and > in a label or title, and a double quote, come back as
+    written from a parser; an attribute value escapes its quote too."""
+    labels = ["a<b & c", 't "q"', "x > 0", "y's"]
+    svg = render_line_plot([(labels[0], [0, 1], [0, 1])], title=labels[1],
+                           x_label=labels[2], y_label=labels[3])
+    texts = [el.text for el in ET.fromstring(svg).iter(SVG + "text")]
+    assert all(label in texts for label in labels)
+    el = ET.fromstring(_el("text", "<&>", data_label='say "a<b" & go'))
+    assert (el.text, el.get("data-label")) == ("<&>", 'say "a<b" & go')
 
 
 SVG_DIGESTS = {

@@ -244,6 +244,106 @@ def test_half_spectrum_matches_full_spectrum_oracle(n, flat, seed, grid_frac):
     assert np.linalg.norm(g_c - want_g) <= 1e-12 * np.linalg.norm(want_g)
 
 
+def _allocating_oracle(c, n_grid, grad=False):
+    """Oracle: the half-spectrum objective as it ran before the shared
+    workspace, with fresh arrays for every intermediate."""
+    half = np.fft.rfft(c, n_grid)
+    p = half.real**2 + half.imag**2
+    logp = np.log(np.maximum(p, 1e-300))
+    plogp = 2.0 * (p @ logp) - p[0] * logp[0]
+    if n_grid % 2 == 0:
+        plogp -= p[-1] * logp[-1]
+    val = -plogp / (n_grid * protocols.LN2)
+    if not grad:
+        return float(val)
+    g_c = -(2.0 / protocols.LN2) * np.fft.irfft((1.0 + logp) * half,
+                                                n_grid)[: c.size]
+    return float(val), g_c
+
+
+def _unit(n, seed):
+    c = np.abs(np.random.default_rng(seed).standard_normal(n)) + 1e-3
+    return c / np.linalg.norm(c)
+
+
+@pytest.mark.parametrize("n_calls", [0, 1, 7, 255, 1023])
+@pytest.mark.parametrize("grid", ["default", "minimum", 4097, 4098])
+def test_workspace_objective_is_bit_identical_to_allocating_oracle(
+        n_calls, grid):
+    """Same value and gradient bits, with a one-off workspace and with one
+    reused across calls, at the default, the minimum 2(N+1), an odd and an
+    even non-power-of-two grid."""
+    n_grid = {"default": protocols._entropy_grid(n_calls, None),
+              "minimum": 2 * (n_calls + 1)}.get(grid, grid)
+    work = protocols._workspace(n_grid)
+    for seed in (1, 2):
+        c = _unit(n_calls + 1, seed)
+        want_val, want_g = _allocating_oracle(c, n_grid, grad=True)
+        for kwargs in ({}, {"work": work}):
+            val, g_c = protocols._entropy_and_grad(c, n_grid, grad=True,
+                                                   **kwargs)
+            assert val == want_val
+            assert g_c.tobytes() == want_g.tobytes()
+            assert protocols._entropy_and_grad(c, n_grid, **kwargs) == (
+                _allocating_oracle(c, n_grid))
+
+
+def _recording_minimize(monkeypatch):
+    """Rebind protocols.minimize to log (fun, x0, options, result);
+    returns the log and the original minimize."""
+    calls = []
+    original = protocols.minimize
+
+    def recording(fun, x0, **options):
+        calls.append((fun, np.array(x0, dtype=float), options,
+                      original(fun, x0, **options)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(protocols, "minimize", recording)
+    return calls, original
+
+
+@pytest.mark.parametrize("n_calls", [0, 7, 255])
+def test_optimizer_trajectories_match_allocating_oracle(monkeypatch, n_calls):
+    """Each start reaches the same x, fun, nit and nfev through the shared
+    workspace as through the allocate-per-call objective."""
+    calls, lbfgs = _recording_minimize(monkeypatch)
+    optimize_en_state(n_calls, restarts=3, seed=11)
+    assert len(calls) == 3
+    n_grid = protocols._entropy_grid(n_calls, None)
+
+    def oracle_value_and_grad(x):
+        r = np.linalg.norm(x)
+        c = x / r
+        val, g_c = _allocating_oracle(c, n_grid, grad=True)
+        return val, (g_c - float(g_c @ c) * c) / r
+
+    for _, x0, options, res in calls:
+        want = lbfgs(oracle_value_and_grad, x0, **options)
+        assert res.x.tobytes() == want.x.tobytes()
+        assert (res.fun, res.nit, res.nfev) == (want.fun, want.nit, want.nfev)
+
+
+def test_optimizer_gradients_do_not_alias_the_workspace(monkeypatch):
+    """minimize keeps the previous gradient while the line search
+    evaluates again, so a gradient that viewed the reused buffers would
+    change under it without any error."""
+    calls, _ = _recording_minimize(monkeypatch)
+    optimize_en_state(255, restarts=1)
+    fun = calls[0][0]
+    rng = np.random.default_rng(4)
+    points = [np.abs(rng.standard_normal(256)) + 1e-3 for _ in range(3)]
+    grads, kept = [], []
+    for x in points:
+        grads.append(fun(x)[1])
+        kept.append(grads[-1].copy())
+    for g, g_copy in zip(grads, kept):
+        assert g.tobytes() == g_copy.tobytes()
+    assert not np.array_equal(grads[0], grads[1])
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
+
+
 def test_projected_gradient_matches_finite_differences():
     """Central differences of H(x / |x|), the optimizer's objective."""
     rng = np.random.default_rng(17)
