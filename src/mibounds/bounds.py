@@ -19,13 +19,16 @@ measurement of a phase-encoded family |psi_phi> under a prior p(phi):
 
 A matching asymptotic lower bound for maximum-likelihood estimation and
 an entropic uncertainty check for number/phase pairs live here too.
+
+The inputs (PriorDensity, StateFamily, EstimationModel) and BoundReport
+are immutable named tuples, as in numerics: a route that adjusts a
+report returns a copy made with _replace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from collections import namedtuple
 
 from ._lazy import np
 from .errors import NumericalFailureError, ValidationError
@@ -43,6 +46,7 @@ from .numerics import (
     fisher_curve_bits,
     fisher_sigma2,
     fourier_modes,
+    record,
 )
 
 # pointwise zero floors of sigma_squared, on its factors and its joint
@@ -54,22 +58,35 @@ DERIV_FLOOR = 1e-7
 _STATES_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class PriorDensity(PeriodicGridFunction):
+class PriorDensity(record("PriorDensity", "period values entropy_bits")):
     """Prior p(phi) on a period-L grid; the spectral route weights the
     family by its amplitude sqrt(p).
 
-    The samples pass differential_entropy's density rule, which also gives
-    entropy_bits, and are kept with roundoff negatives clipped to 0.
+    Built from (period, values), which pass PeriodicGridFunction's checks
+    and differential_entropy's density rule; that rule also gives the
+    computed field entropy_bits. The samples are kept with roundoff
+    negatives clipped to 0.
     """
 
-    entropy_bits: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        super().__post_init__()
-        object.__setattr__(self, "entropy_bits", differential_entropy(self))
-        object.__setattr__(self, "values", np.clip(self.values, 0.0, None))
+    def __new__(cls, period, values):
+        grid = PeriodicGridFunction(period, np.asarray(values, dtype=float))
+        return super().__new__(cls, period, np.clip(grid.values, 0.0, None),
+                               differential_entropy(grid))
+
+    # entropy_bits is computed, not an argument: copies and pickles rebuild
+    # from (period, values), and _replace refuses a change to entropy_bits
+    def __getnewargs__(self):
+        return self.period, self.values
+
+    def _replace(self, **changes):
+        return type(self)(**{"period": self.period, "values": self.values,
+                             **changes})
+
+    n_grid = PeriodicGridFunction.n_grid
+    grid = PeriodicGridFunction.grid
+    from_callable = vars(PeriodicGridFunction)["from_callable"]
 
     @classmethod
     def uniform(cls, period, n_grid):
@@ -80,8 +97,7 @@ class PriorDensity(PeriodicGridFunction):
         return cls(period, np.full(n_grid, density))
 
 
-@dataclass(frozen=True)
-class StateFamily:
+class StateFamily(record("StateFamily", "period states")):
     """Pure states |psi_phi> sampled on a period-L grid, one row per phi.
 
     Weights see the family only through <psi_phi|psi_phi'>, so a fixed
@@ -92,11 +108,10 @@ class StateFamily:
     returns) let the spectral route's axis-0 FFT read contiguous memory.
     """
 
-    period: float
-    states: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        st = np.asarray(self.states, dtype=complex)
+    def __new__(cls, period, states):
+        st = np.asarray(states, dtype=complex)
         if st.ndim != 2:
             raise ValidationError("states must be a (grid, dim) array")
         check_periodic_grid(st.shape[0])
@@ -105,23 +120,21 @@ class StateFamily:
         sq += np.einsum("ij,ij->i", st.imag, st.imag)
         if not np.all(np.abs(np.sqrt(sq) - 1.0) <= 1e-8):
             raise ValidationError("states must be normalized to 1 within 1e-8")
-        object.__setattr__(self, "states", st)
+        return super().__new__(cls, period, st)
 
     @property
     def n_grid(self):
         return self.states.shape[0]
 
 
-@dataclass(frozen=True)
-class EstimationModel:
+class EstimationModel(record("EstimationModel", "prior conditional")):
     """Classical outcome model: prior plus p(m|phi) columns on its grid."""
 
-    prior: PriorDensity
-    conditional: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        cond = np.asarray(self.conditional, dtype=float)
-        if cond.ndim != 2 or cond.shape[0] != self.prior.n_grid:
+    def __new__(cls, prior, conditional):
+        cond = np.asarray(conditional, dtype=float)
+        if cond.ndim != 2 or cond.shape[0] != prior.n_grid:
             raise ValidationError(
                 "conditional must be (grid, outcomes) on the prior grid"
             )
@@ -133,21 +146,20 @@ class EstimationModel:
         rows = cond.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > 1e-8:
             raise ValidationError("conditional rows must sum to 1 within 1e-8")
-        object.__setattr__(self, "conditional", cond)
+        return super().__new__(cls, prior, cond)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """One bound evaluation; serializes to a small flat JSON object."""
+class BoundReport(namedtuple(
+        "BoundReport",
+        "method bound_bits prior_entropy_bits sigma2 tail_mass_bound flags"
+        " spectrum history",
+        defaults=(None, None, (), None, ()))):
+    """One bound evaluation; serializes to a small flat JSON object.
 
-    method: str
-    bound_bits: float
-    prior_entropy_bits: float
-    sigma2: Optional[float] = None
-    tail_mass_bound: Optional[float] = None
-    flags: tuple = ()
-    spectrum: Optional[FourierSpectrum] = None
-    history: tuple = ()
+    sigma2, tail_mass_bound and spectrum (a FourierSpectrum) may be None.
+    """
+
+    __slots__ = ()
 
     def to_json_dict(self):
         def num(value):
@@ -213,8 +225,8 @@ def _spectral_report(ks, weights, prior_entropy_bits=0.0) -> BoundReport:
 def _with_prior_term(report: BoundReport, prior: PriorDensity) -> BoundReport:
     """report shifted by its prior's term -log2 L + H(phi)."""
     bound = report.bound_bits - np.log2(prior.period) + prior.entropy_bits
-    return replace(report, bound_bits=float(bound),
-                   prior_entropy_bits=float(prior.entropy_bits))
+    return report._replace(bound_bits=float(bound),
+                           prior_entropy_bits=float(prior.entropy_bits))
 
 
 def fourier_bound_from_states(
@@ -427,8 +439,8 @@ def nonperiodic_fourier_bound(family_fn, prior_fn, support) -> BoundReport:
         flags += ("band_widened",)
     if delta >= 1e-4:
         flags += ("slow_convergence",)
-    return replace(rep, method="fourier-nonperiodic", flags=flags + rep.flags,
-                   history=tuple(history))
+    return rep._replace(method="fourier-nonperiodic", flags=flags + rep.flags,
+                        history=tuple(history))
 
 
 def mle_lower_bound(fisher: float) -> BoundReport:

@@ -21,11 +21,10 @@ coordinates per qubit, build their arrays from the same x_j.
 """
 
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
 from .errors import ValidationError
-from .numerics import PeriodicGridFunction, binary_entropy
+from .numerics import PeriodicGridFunction, binary_entropy, record
 
 CHANNEL_KINDS = ("dephasing", "amplitude-damping", "erasure")
 
@@ -34,25 +33,32 @@ CHANNEL_KINDS = ("dephasing", "amplitude-damping", "erasure")
 MAX_QUBITS = 30
 
 
-@dataclass(frozen=True)
-class NoisyQpeModel:
-    """A noisy phase-estimation run: channel kind, qubit count M, eta."""
+class NoisyQpeModel(record("NoisyQpeModel", "kind n_qubits eta")):
+    """A noisy phase-estimation run: channel kind, qubit count M, eta.
 
-    kind: str
-    n_qubits: int
-    eta: float
+    M is stored as an int and eta as a float; a count with a fractional
+    part (2.7) is refused, not truncated.
+    """
 
-    def __post_init__(self):
-        if self.kind not in CHANNEL_KINDS:
+    __slots__ = ()
+
+    def __new__(cls, kind, n_qubits, eta):
+        if kind not in CHANNEL_KINDS:
             raise ValidationError(
-                f"unknown channel {self.kind!r}, expected one of {CHANNEL_KINDS}"
+                f"unknown channel {kind!r}, expected one of {CHANNEL_KINDS}"
             )
-        if not (1 <= int(self.n_qubits) <= MAX_QUBITS):
+        try:
+            m = int(n_qubits)
+            integral = m == n_qubits
+        except (TypeError, ValueError, OverflowError):  # NaN, inf, None
+            integral = False
+        if not integral:
+            raise ValidationError(f"n_qubits must be an integer, got {n_qubits!r}")
+        if not (1 <= m <= MAX_QUBITS):
             raise ValidationError(f"n_qubits must be in 1..{MAX_QUBITS}")
-        if not (0.0 <= self.eta <= 1.0):
+        if not (0.0 <= eta <= 1.0):
             raise ValidationError("eta must lie in [0, 1]")
-        object.__setattr__(self, "n_qubits", int(self.n_qubits))
-        object.__setattr__(self, "eta", float(self.eta))
+        return super().__new__(cls, kind, m, float(eta))
 
     @property
     def n_calls(self):

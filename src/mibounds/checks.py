@@ -14,8 +14,7 @@ are deterministic for a fixed seed.
 from __future__ import annotations
 
 import functools
-import inspect
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._lazy import np
 from .bounds import (
@@ -59,12 +58,7 @@ from .protocols import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "suite name passed detail")
 
 
 SUITES = {"numerics": [], "bounds": [], "channels": [], "protocols": []}
@@ -378,6 +372,8 @@ def two_seed_inequalities(rng, trials=100):
 
 def run_suite(name, seed=0, trials=100):
     """Run one named suite (or `all`) and return CheckResult rows."""
+    import inspect  # only here: the package import stays without it
+
     if int(trials) < 1:
         raise ValidationError("trials must be at least 1")
     if name == "all":

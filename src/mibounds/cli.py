@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import os
 import sys
 from collections import namedtuple
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -197,6 +195,8 @@ def cmd_figure(args, command):
     # each builder takes the options named like its parameters; --seed,
     # --out-dir and --svg are common to every figure; any other flag the
     # builder does not take is an error
+    import inspect  # only here: lean commands start without it
+
     takes = inspect.signature(FIGURES[args.name]).parameters
     for name in args.flags:
         if name not in takes and name not in ("seed", "out_dir", "svg"):
@@ -283,7 +283,7 @@ def cmd_two_seed(args, command):
     for _ in range(args.trials):
         n_calls = int(rng.integers(args.n_min, args.n_max + 1))
         res = two_seed_experiment(random_seed_pair(n_calls, rng), args.grid)
-        trials.append({"n_calls": n_calls, **asdict(res)})
+        trials.append({"n_calls": n_calls, **res._asdict()})
     summary = {
         "n_trials": args.trials,
         "always_violations": sum(not t["always_ok"] for t in trials),

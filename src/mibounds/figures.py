@@ -8,7 +8,7 @@ names of the `figure` options, which the CLI passes by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._lazy import np
 from .channels import NoisyQpeModel, chi_closed_form
@@ -22,16 +22,10 @@ from .protocols import EntangledState, covariant_posterior, optimize_en_state
 from .qpe_strategy import enhancement_term
 
 
-@dataclass(frozen=True)
-class FigureData:
-    name: str
-    columns: tuple
-    rows: tuple
-    series: tuple = ()  # (label, xs, ys) triples for the SVG
-    title: str = ""
-    x_label: str = ""
-    y_label: str = ""
-    log_x: bool = False
+# series holds the (label, xs, ys) triples for the SVG
+FigureData = namedtuple(
+    "FigureData", "name columns rows series title x_label y_label log_x",
+    defaults=((), "", "", "", False))
 
 
 def _eta_sweep(name, title, value, M_max, eta_min, eta_max, n_eta):

@@ -10,12 +10,17 @@ Conventions used throughout the package:
   c_k = (1/L) * integral f(phi) exp(-i 2 pi k phi / L) dphi;
 * every entropy is reported in bits; internally entropies are accumulated
   with natural logs and divided by LN2 once.
+
+Records (here PeriodicGridFunction and FourierSpectrum) are immutable
+named tuples that validate and normalize their fields in __new__. They
+compare as tuples, _asdict gives their fields, and _replace builds a
+copy through the same checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._lazy import np
 from .errors import NumericalFailureError, ValidationError
@@ -60,23 +65,29 @@ def check_points(n_points, what):
             f"{what} of {n_points} points exceeds the {MAX_POINTS}-point cap")
 
 
-@dataclass(frozen=True)
-class PeriodicGridFunction:
+def record(typename, field_names):
+    """A named-tuple base for a record that validates in its __new__:
+    _make, and so _replace, build through that __new__ too."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, fields: cls(*fields))
+    return base
+
+
+class PeriodicGridFunction(record("PeriodicGridFunction", "period values")):
     """Samples of a period-L function at phi_j = j*L/G, j = 0..G-1."""
 
-    period: float
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (np.isfinite(self.period) and self.period > 0.0):
+    def __new__(cls, period, values):
+        if not (np.isfinite(period) and period > 0.0):
             raise ValidationError("period must be finite and positive")
-        vals = np.atleast_1d(np.asarray(self.values))
+        vals = np.atleast_1d(np.asarray(values))
         if vals.ndim != 1:
             raise ValidationError("values must be a one-dimensional array")
         check_periodic_grid(vals.size)
         if not np.all(np.isfinite(vals)):
             raise ValidationError("values must be finite")
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, period, vals)
 
     @property
     def n_grid(self):
@@ -92,23 +103,20 @@ class PeriodicGridFunction:
         return cls(period, np.asarray(fn(phis)))
 
 
-@dataclass(frozen=True)
-class FourierSpectrum:
+class FourierSpectrum(record("FourierSpectrum", "ks weights")):
     """Nonnegative Fourier weights f_k on an integer index window; weights
     down to -1e-10 are roundoff and clipped to 0."""
 
-    ks: np.ndarray
-    weights: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        ks = np.asarray(self.ks, dtype=int)
-        w = np.asarray(self.weights, dtype=float)
+    def __new__(cls, ks, weights):
+        ks = np.asarray(ks, dtype=int)
+        w = np.asarray(weights, dtype=float)
         if ks.shape != w.shape or ks.ndim != 1:
             raise ValidationError("ks and weights must be matching 1-d arrays")
         if np.any(w < -NEGATIVE_WEIGHT_TOL):
             raise ValidationError("spectrum weight below -1e-10")
-        object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "weights", np.clip(w, 0.0, None))
+        return super().__new__(cls, ks, np.clip(w, 0.0, None))
 
     def entropy_bits(self):
         return entropy_bits_of_weights(self.weights)

@@ -27,7 +27,7 @@ scores the circulant MIs row by row and needs O(G) memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from types import SimpleNamespace
 
 from ._lazy import np
@@ -38,23 +38,25 @@ from .numerics import (
     check_points,
     coefficients_to_density,
     entropy_bits_of_weights,
+    record,
     synthesized_density,
 )
 
 
-@dataclass(frozen=True)
-class EntangledState:
+class EntangledState(record("EntangledState", "coefficients")):
     """Real amplitudes c_0..c_N on the phase modes, sum c_k^2 = 1."""
 
-    coefficients: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
+    def __new__(cls, coefficients):
+        if np.iscomplexobj(coefficients):  # a float cast drops imaginary parts
+            raise ValidationError("coefficients must be real")
+        c = np.asarray(coefficients, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise ValidationError("coefficients must be a non-empty 1-d array")
         if not abs((c * c).sum() - 1.0) <= 1e-10:  # fails closed on NaN
             raise ValidationError("coefficients must satisfy sum c_k^2 = 1")
-        object.__setattr__(self, "coefficients", c)
+        return super().__new__(cls, c)
 
     @property
     def n_calls(self):
@@ -386,18 +388,15 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None):
     return EntangledState(best_c), best_val, -best_val, tuple(trace)
 
 
-@dataclass(frozen=True)
-class SeedPair:
+class SeedPair(record("SeedPair", "state a b")):
     """Two covariant seeds splitting the all-ones seed: |a_n|^2+|b_n|^2 = 1."""
 
-    state: EntangledState
-    a: np.ndarray
-    b: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
-        n = self.state.coefficients.size
+    def __new__(cls, state, a, b):
+        a = np.asarray(a, dtype=complex)
+        b = np.asarray(b, dtype=complex)
+        n = state.coefficients.size
         if a.shape != (n,) or b.shape != (n,):
             raise ValidationError("seed vectors must match the state length")
         mods = np.abs(a) ** 2 + np.abs(b) ** 2
@@ -405,20 +404,12 @@ class SeedPair:
             raise ValidationError(
                 "seeds must satisfy |a_n|^2 + |b_n|^2 = 1 for every n"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        return super().__new__(cls, state, a, b)
 
 
-@dataclass(frozen=True)
-class TwoSeedResult:
-    lambda_1: float
-    lambda_2: float
-    mi_single: float
-    mi_split: float
-    mi_merged: float
-    always_ok: bool
-    fromconv_ok: bool
-    wonder_violated: bool
+TwoSeedResult = namedtuple(
+    "TwoSeedResult", "lambda_1 lambda_2 mi_single mi_split mi_merged"
+    " always_ok fromconv_ok wonder_violated")
 
 
 def discrete_mi(joint) -> float:

@@ -46,6 +46,20 @@ def test_model_validation():
         NoisyQpeModel("erasure", 2, -0.1)
 
 
+def test_model_refuses_a_fractional_qubit_count():
+    """M = 2.7 is refused, not truncated to a bound for M = 2, and so is
+    a count that is no number; integral counts of any integer type are
+    kept, as ints."""
+    for m in (2.7, 0.5, 30.5, float("nan"), float("inf"), "3", None):
+        with pytest.raises(ValidationError, match="n_qubits must be an integer"):
+            NoisyQpeModel("dephasing", m, 0.9)
+    for m in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        model = NoisyQpeModel("dephasing", m, 0.9)
+        assert type(model.n_qubits) is int and model.n_qubits == 3
+        assert chi_closed_form(model) == chi_closed_form(
+            NoisyQpeModel("dephasing", 3, 0.9))
+
+
 def test_call_budget():
     for m in (1, 3, 10):
         assert NoisyQpeModel("dephasing", m, 0.5).n_calls == 2**m - 1

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import mibounds
-from mibounds import cli, protocols
+from mibounds import checks, cli, figures, protocols
 from mibounds.bounds import fourier_bound_from_overlap
 from mibounds.channels import (
     CHANNEL_KINDS,
@@ -651,6 +651,38 @@ def test_figure_rejects_flags_the_dataset_does_not_take(capsys, tmp_path,
     assert out == "" and not list(tmp_path.iterdir())
 
 
+def test_figure_options_and_check_context_follow_functools_wraps(
+        capsys, tmp_path, monkeypatch):
+    """A profiler may rebind the figure builders and the registered checks
+    to functools.wraps wrappers (as bench/tracer.py does): the options a
+    figure takes and the run values a check gets are read through the
+    wrapper, from the wrapped signature."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setitem(figures.FIGURES, "b_sigma",
+                        wrap(figures.FIGURES["b_sigma"]))
+    code, _, _ = run_cli(capsys, "figure", "b_sigma", "--n-sigma", "5",
+                         "--out-dir", str(tmp_path / "ok"))
+    assert code == 0
+    code, _, err = run_cli(capsys, "figure", "b_sigma", "--n-sigma", "5",
+                           "--N", "3", "--out-dir", str(tmp_path / "no"))
+    assert code == 2 and "takes no --N" in err
+
+    # parseval_tail takes the suite's rng, which only its signature names
+    parseval = next(check for check in checks.SUITES["numerics"]
+                    if check.__name__ == "parseval_tail")
+    monkeypatch.setitem(checks.SUITES, "channels",
+                        [wrap(check) for check in checks.SUITES["channels"]]
+                        + [wrap(parseval)])
+    rows = checks.run_suite("channels")
+    assert rows[-1].name == "parseval_tail"
+    assert len(rows) >= 2 and all(row.passed for row in rows), rows
+
+
 def test_figure_common_flags_apply_to_every_dataset(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "figure", "b_sigma", "--n-sigma", "3", "--seed", "4",
@@ -1016,9 +1048,14 @@ def test_channel_bounds_version_and_refusals_do_not_load_numpy(tmp_path):
     """numpy loads on first use: --version, the channel Fourier bounds (a
     sum of scalar binary entropies), the chi_qpe and transition figures
     (scalar closed forms on a list of etas) and inputs refused before any
-    array exists run without it; optimize loads it on demand."""
+    array exists run without it; optimize loads it on demand. The import
+    and those commands load no dataclasses, inspect or typing either;
+    figure loads inspect to read its builder's options. The modules are
+    counted against those loaded before the import, since site may
+    preload some."""
     script = textwrap.dedent("""
         import contextlib, io, json, sys
+        base = set(sys.modules)
         from mibounds import cli
 
         def run(argv):
@@ -1028,6 +1065,9 @@ def test_channel_bounds_version_and_refusals_do_not_load_numpy(tmp_path):
                     return cli.main(argv)
                 except SystemExit as exc:  # --version
                     return exc.code
+
+        def added():
+            return sorted(set(sys.modules) - base)
 
         lean = [["--version"]]
         lean += [["bound", "--channel", kind, "--M", m, "--eta", "0.37"]
@@ -1039,21 +1079,30 @@ def test_channel_bounds_version_and_refusals_do_not_load_numpy(tmp_path):
                   "--method", "fisher"],
                  ["bound", "--M", "3", "--eta", "0.5"],
                  ["figure", "nosuch"]]
-        lean += [["figure", "chi_qpe", "--svg"], ["figure", "transition", "--svg"]]
         codes = [run(argv) for argv in lean]
+        after_lean = added()
+        figs = [["figure", "chi_qpe", "--svg"], ["figure", "transition", "--svg"]]
+        codes += [run(argv) for argv in figs]
+        after_figures = added()
         before = "numpy._core" in sys.modules
         code = run(["optimize", "--N", "7"])
-        print(json.dumps([codes, before, code, "numpy._core" in sys.modules]))
+        print(json.dumps([codes, before, code, "numpy._core" in sys.modules,
+                          after_lean, after_figures, "inspect" in base]))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=src_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    codes, before, code, after = json.loads(proc.stdout)
+    codes, before, code, after, after_lean, after_figures, preloaded = (
+        json.loads(proc.stdout))
     assert codes == [0] * 7 + [2] * 5 + [0] * 2
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "chi_qpe.csv", "chi_qpe.svg", "transition.csv", "transition.svg"]
     assert not before
     assert code == 0 and after
+    heavy = {"dataclasses", "inspect", "typing"}
+    assert not heavy & set(after_lean), after_lean
+    assert "inspect" in after_figures or preloaded
+    assert "dataclasses" not in after_figures and "typing" not in after_figures
 
 
 def test_every_command_runs_with_scipy_blocked():

@@ -1,6 +1,7 @@
 """Entangled covariant protocols: posteriors, optimization, seed splitting."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ def test_entangled_state_validation():
     for bad in (np.nan, np.inf):  # fails closed: NaN compares False
         with pytest.raises(ValidationError):
             EntangledState(np.array([bad, 0.0]))
+
+
+def test_entangled_state_refuses_complex_coefficients():
+    """A complex array is refused, not cast to real with a ComplexWarning
+    (a traceback under -W error); zero imaginary parts included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (np.array([0.6 + 0.3j, 0.8]), np.array([0.6 + 0j, 0.8 + 0j]),
+                  [0.6 + 0.3j, 0.8]):
+            with pytest.raises(ValidationError, match="coefficients must be real"):
+                EntangledState(c)
 
 
 def test_posterior_is_fejer_kernel_for_uniform_weights():
