@@ -306,8 +306,11 @@ def sigma_squared(model: EstimationModel) -> float:
     factors are tested on their own because a step or a sloped zero of
     one can hide in the joint behind the other: a 1.05/0.95 prior step
     beside a steep conditional, or a conditional zero under a prior tail
-    of 1e-8. On a uniform period-L prior the joint's floors are
-    p(m|phi) < L * 1e-14 and |pdot(m|phi)| >= L * 1e-7.
+    of 1e-8. The pass runs on the unit period u = phi / L, on the density
+    L p(phi) and the step 1 / G, so the floors apply per unit period: to
+    the cells of L p(phi), p(m|phi) and their product, and to slopes
+    d/du = L d/dphi. sigma^2 is invariant under L, and no L, however
+    extreme, overflows the step or a slope.
 
     A 2-row grid (grids are even) is bad input: both neighbours of a row
     are the same row, so every central difference would be 0.
@@ -316,8 +319,8 @@ def sigma_squared(model: EstimationModel) -> float:
     if prior.n_grid < 4:
         raise ValidationError(
             f"a Fisher integral needs at least 4 grid rows, got {prior.n_grid}")
-    h = prior.period / prior.n_grid
-    p = prior.values[:, None]
+    h = 1.0 / prior.n_grid
+    p = prior.values[:, None] * prior.period
     f = np.hstack([p, model.conditional, p * model.conditional])
     j = f.shape[1] - model.conditional.shape[1]  # the joint columns start here
     up, down = np.roll(f, -1, axis=0), np.roll(f, 1, axis=0)
@@ -328,7 +331,7 @@ def sigma_squared(model: EstimationModel) -> float:
     r, rdot, tiny = f[:, j:], fdot[:, j:], tiny[:, j:]
     touch = 2.0 * np.maximum((up[:, j:] - 2.0 * r + down[:, j:]) / (h * h), 0.0)
     quotient = np.where(tiny, touch, rdot ** 2 / np.where(tiny, 1.0, r))
-    return fisher_sigma2(float(quotient.sum() * h), prior.period)
+    return fisher_sigma2(float(quotient.sum() * h))
 
 
 def fisher_bound(sigma2: float) -> BoundReport:

@@ -46,9 +46,10 @@ from .channels import (
 from .checks import SUITES, run_suite
 from .errors import ValidationError
 from .figures import FIGURES
-from .numerics import PeriodicGridFunction, check_points, fisher_sigma2
+from .numerics import PeriodicGridFunction, fisher_sigma2
 from .protocols import (
     EntangledState,
+    check_two_seed_grid,
     fourier_bound_ceiling,
     optimize_en_state,
     posterior_entropy,
@@ -272,12 +273,7 @@ def cmd_two_seed(args, command):
     if args.n_min > args.n_max:
         raise ValidationError("need n-min <= n-max")
     # checked before the first draw, so no seed decides the exit code
-    need = 8 * (args.n_max + 1)
-    check_points(need, "two-seed grid 8*(n-max+1)")
-    if args.grid < need:
-        raise ValidationError(
-            f"two-seed grid must be at least 8*(N+1) = {need} for --n-max"
-            f" {args.n_max}")
+    check_two_seed_grid(args.n_max, args.grid)
     rng = np.random.default_rng(args.seed)
     trials = []
     for _ in range(args.trials):

@@ -199,9 +199,9 @@ def fisher_curve_bits(sigma2: float) -> float:
     return 0.5 * math.log1p(TWO_PI * math.e * sigma2) / LN2
 
 
-def fisher_sigma2(fisher: float, period: float = 1.0) -> float:
-    """The Fisher route's scale sigma^2 = (L^2 / 16 pi^2) F on period L."""
-    return period**2 / (16.0 * math.pi**2) * fisher
+def fisher_sigma2(fisher: float) -> float:
+    """The Fisher route's scale sigma^2 = F / (16 pi^2) on the unit period."""
+    return 1.0 / (16.0 * math.pi**2) * fisher
 
 
 def synthesized_density(c, n_grid):

@@ -450,6 +450,19 @@ def circulant_mi(r):
     return float(mi) if r.ndim == 1 else mi
 
 
+def check_two_seed_grid(n_calls, n_grid):
+    """Refuse a two-seed grid of fewer than 8*(N+1) points for N calls,
+    or one over the cap; the cap on 8*(N+1) comes first, so an N too large
+    for any grid is named as such."""
+    need = 8 * (n_calls + 1)
+    check_points(need, "two-seed grid 8*(N+1)")
+    if n_grid < need:
+        raise ValidationError(
+            f"two-seed grid must be at least 8*(N+1) = {need} for N = {n_calls},"
+            f" got {n_grid}")
+    check_points(n_grid, "two-seed grid")
+
+
 def two_seed_experiment(pair: SeedPair, n_grid=256) -> TwoSeedResult:
     """Compare one covariant seed against a split pair of seeds.
 
@@ -471,9 +484,7 @@ def two_seed_experiment(pair: SeedPair, n_grid=256) -> TwoSeedResult:
     """
     n_grid = int(n_grid)
     c = pair.state.coefficients.astype(complex)
-    if n_grid < 8 * c.size:
-        raise ValidationError("two-seed grid must be at least 8*(N+1)")
-    check_points(n_grid, "two-seed grid")
+    check_two_seed_grid(c.size - 1, n_grid)
 
     # rows: the single seed, then seeds 1 and 2, from one batched FFT
     r = synthesized_density(

@@ -509,6 +509,24 @@ def test_bound_file_with_a_nan_phi_exits_two(capsys, tmp_path, source, phis):
                           "grid\n")
 
 
+@pytest.mark.parametrize("step", [1e300, 1e200, 1e160, 1e-160, 1e-300])
+def test_bound_model_on_an_extreme_phi_step_is_the_period_one_bound(
+        capsys, tmp_path, step):
+    """The Fisher bound does not depend on the period, so a 4-row model on
+    phi = i * step has the period-1 file's sigma^2. On these steps the
+    grid step or the slopes overflowed: numpy warnings and a false
+    divergent, or a traceback under -W error (pytest turns warnings into
+    errors)."""
+    path = tmp_path / "model.csv"
+    path.write_text("phi,p1,p2\n" + "".join(
+        f"{i * step!r},{p1!r},{1.0 - p1!r}\n"
+        for i, p1 in enumerate([0.5, 0.6, 0.5, 0.4])), encoding="utf-8")
+    code, out, err = run_cli(capsys, "bound", "--model", str(path))
+    assert (code, err) == (0, "")
+    want = 0.0020264236728467543  # the period-1 file, phi = i
+    assert abs(json.loads(out)["sigma2"] - want) <= 1e-12 * want
+
+
 def test_bound_overlap_with_a_fourth_column_exits_two(capsys, tmp_path):
     """An overlap file is phi, re and an optional im: a fourth column is
     refused, not ignored."""
@@ -572,17 +590,21 @@ def test_figure_csv_metadata_and_svg(capsys, tmp_path):
 
 
 def test_figure_determinism(capsys, tmp_path):
-    """The same invocation writes byte-identical CSV and SVG files."""
-    args = (
-        "figure", "b_sigma", "--n-sigma", "20",
-        "--out-dir", str(tmp_path), "--svg", "--seed", "0",
-    )
-    assert run_cli(capsys, *args)[0] == 0
-    first_csv = (tmp_path / "b_sigma.csv").read_bytes()
-    first_svg = (tmp_path / "b_sigma.svg").read_bytes()
-    assert run_cli(capsys, *args)[0] == 0
-    assert (tmp_path / "b_sigma.csv").read_bytes() == first_csv
-    assert (tmp_path / "b_sigma.svg").read_bytes() == first_svg
+    """The same invocation writes byte-identical CSV and SVG files, with
+    no warning (pytest turns warnings into errors), also on the range
+    from sigma^2 = 0 (1e-200 squares to 0) to the edge of the support cap."""
+    for flags in (["--n-sigma", "20"],
+                  ["--sigma-min", "1e-200", "--sigma-max", "2.09e5",
+                   "--n-sigma", "4"]):
+        args = ("figure", "b_sigma", *flags,
+                "--out-dir", str(tmp_path), "--svg", "--seed", "0")
+        code, _, err = run_cli(capsys, *args)
+        assert (code, err) == (0, "")
+        first_csv = (tmp_path / "b_sigma.csv").read_bytes()
+        first_svg = (tmp_path / "b_sigma.svg").read_bytes()
+        assert run_cli(capsys, *args)[0] == 0
+        assert (tmp_path / "b_sigma.csv").read_bytes() == first_csv
+        assert (tmp_path / "b_sigma.svg").read_bytes() == first_svg
 
 
 @pytest.mark.parametrize("name,flag", [("b_sigma", "--n-sigma"),
@@ -905,11 +927,17 @@ def test_two_seed_validation(capsys):
     assert code == 2
 
 
+def refuse_to_draw(*args, **kwargs):
+    raise AssertionError("a two-seed trial ran before the grid was checked")
+
+
 def test_two_seed_grid_too_coarse_for_n_max_exits_two_for_every_seed(
-        capsys, tmp_path):
+        capsys, tmp_path, monkeypatch):
     """--n-max 40 needs a grid of 8*(40+1) = 328 points. The check used to
     run only when a trial drew a large N, so --seed 1 exited 0 on the
-    default 256 points while --seed 0 exited 2 after running trials."""
+    default 256 points while --seed 0 exited 2 after running trials; it
+    now runs before the first draw."""
+    monkeypatch.setattr(cli, "random_seed_pair", refuse_to_draw)
     out_file = tmp_path / "log.json"
     for seed in range(6):
         code, out, err = run_cli(
@@ -1006,9 +1034,11 @@ def test_grid_over_the_cap_exits_two_before_allocating(capsys, tmp_path,
                                                        monkeypatch, argv):
     """These asked numpy for 6 GiB or more and ended in a MemoryError
     traceback (exit 1); a grid above MAX_POINTS, given or implied by --N
-    or --n-max, is bad input, refused before any grid-sized array exists,
-    and a figure so refused writes no file."""
+    or --n-max, is bad input, refused before any grid-sized array exists
+    (for two-seed, before the first draw), and a figure so refused writes
+    no file."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "random_seed_pair", refuse_to_draw)
     with address_space_headroom(1 << 30):
         code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -1046,7 +1076,8 @@ def test_bound_and_check_channels_do_not_import_scipy():
 
 def test_channel_bounds_version_and_refusals_do_not_load_numpy(tmp_path):
     """numpy loads on first use: --version, the channel Fourier bounds (a
-    sum of scalar binary entropies), the chi_qpe and transition figures
+    sum of scalar binary entropies), a channel Fisher bound above the
+    solver's range (sigma^2 >= 1), the chi_qpe and transition figures
     (scalar closed forms on a list of etas) and inputs refused before any
     array exists run without it; optimize loads it on demand. The import
     and those commands load no dataclasses, inspect or typing either;
@@ -1073,6 +1104,8 @@ def test_channel_bounds_version_and_refusals_do_not_load_numpy(tmp_path):
         lean += [["bound", "--channel", kind, "--M", m, "--eta", "0.37"]
                  for kind in ("dephasing", "amplitude-damping", "erasure")
                  for m in ("2", "16")]
+        lean += [["bound", "--channel", "dephasing", "--M", "3", "--eta", "0.9",
+                  "--method", "fisher"]]
         lean += [["bound", "--channel", "dephasing", "--M", "0", "--eta", "0.5"],
                  ["bound", "--channel", "dephasing", "--M", "3", "--eta", "1.5"],
                  ["bound", "--channel", "erasure", "--M", "3", "--eta", "0.5",
@@ -1094,7 +1127,7 @@ def test_channel_bounds_version_and_refusals_do_not_load_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes, before, code, after, after_lean, after_figures, preloaded = (
         json.loads(proc.stdout))
-    assert codes == [0] * 7 + [2] * 5 + [0] * 2
+    assert codes == [0] * 8 + [2] * 5 + [0] * 2
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "chi_qpe.csv", "chi_qpe.svg", "transition.csv", "transition.svg"]
     assert not before
@@ -1182,7 +1215,7 @@ def fuzz_argv(draw):
     argv = [cmd]
     base = FUZZ_BASE.get(cmd, [])
     if cmd == "figure":
-        argv.append(draw(hst.sampled_from(sorted(mibounds.FIGURES)
+        argv.append(draw(hst.sampled_from(sorted(figures.FIGURES)
                                           + ["nosuch"])))
         base = FUZZ_BASE.get(argv[1], [])
     elif positional is not None:
