@@ -34,11 +34,13 @@ from ._lazy import np
 from .errors import NumericalFailureError, ValidationError
 from .numerics import (
     LN2,
+    NEGATIVE_WEIGHT_TOL,
     TWO_PI,
-    FourierSpectrum,
     PeriodicGridFunction,
     _check_alias_window,
+    _check_period,
     check_periodic_grid,
+    check_points,
     coefficients_to_density,
     differential_entropy,
     discrete_gaussian_fit,
@@ -98,7 +100,8 @@ class PriorDensity(record("PriorDensity", "period values entropy_bits")):
 
 
 class StateFamily(record("StateFamily", "period states")):
-    """Pure states |psi_phi> sampled on a period-L grid, one row per phi.
+    """Pure states |psi_phi> sampled on a period-L grid, one row per phi;
+    the period must be finite and positive, as for PeriodicGridFunction.
 
     Weights see the family only through <psi_phi|psi_phi'>, so a fixed
     isometry of every state (as in purified_state_family) changes no bound.
@@ -111,6 +114,7 @@ class StateFamily(record("StateFamily", "period states")):
     __slots__ = ()
 
     def __new__(cls, period, states):
+        _check_period(period)
         st = np.asarray(states, dtype=complex)
         if st.ndim != 2:
             raise ValidationError("states must be a (grid, dim) array")
@@ -152,11 +156,13 @@ class EstimationModel(record("EstimationModel", "prior conditional")):
 class BoundReport(namedtuple(
         "BoundReport",
         "method bound_bits prior_entropy_bits sigma2 tail_mass_bound flags"
-        " spectrum history",
-        defaults=(None, None, (), None, ()))):
+        " history",
+        defaults=(None, None, (), ()))):
     """One bound evaluation; serializes to a small flat JSON object.
 
-    sigma2, tail_mass_bound and spectrum (a FourierSpectrum) may be None.
+    sigma2 is the spectrum's second moment: the Fisher route's budget, or
+    sum k^2 f_k over a spectral report's window. It and tail_mass_bound
+    may be None.
     """
 
     __slots__ = ()
@@ -199,13 +205,14 @@ def _spectral_report(ks, weights, prior_entropy_bits=0.0) -> BoundReport:
     """The spectral route's report for weights f_k on the window ks.
 
     Its bound is the spectrum entropy -sum f_k log2 f_k, the whole bound
-    under a uniform prior, where -log2 L + H(phi) = 0. Raises
+    under a uniform prior, where -log2 L + H(phi) = 0, and its sigma2 the
+    second moment sum k^2 f_k. Roundoff negatives are clipped to 0. Raises
     NumericalFailureError when the mass sum f_k is not finite or exceeds
     1 beyond 1e-9; 1 - mass bounds the weight outside the window, and more
     than 1e-9 of it flags "truncated_spectrum".
     """
-    spectrum = FourierSpectrum(ks, weights)
-    total = float(spectrum.weights.sum())
+    w = np.clip(weights, 0.0, None)
+    total = float(w.sum())
     if not total <= 1.0 + 1e-9:  # fails on NaN and inf too
         raise NumericalFailureError(
             f"spectrum mass {total:.12g} is not finite or exceeds 1; "
@@ -214,11 +221,11 @@ def _spectral_report(ks, weights, prior_entropy_bits=0.0) -> BoundReport:
     tail = max(0.0, 1.0 - total)
     return BoundReport(
         method="fourier",
-        bound_bits=spectrum.entropy_bits(),
+        bound_bits=entropy_bits_of_weights(w),
         prior_entropy_bits=prior_entropy_bits,
+        sigma2=float((ks.astype(float) ** 2 * w).sum()),
         tail_mass_bound=tail,
         flags=("truncated_spectrum",) if tail > 1e-9 else (),
-        spectrum=spectrum,
     )
 
 
@@ -263,7 +270,7 @@ def fourier_bound_from_overlap(f: PeriodicGridFunction) -> BoundReport:
     ks, coeffs = fourier_modes(f, (-half, half))
     if np.max(np.abs(coeffs.imag)) > 1e-9:
         raise NumericalFailureError("overlap spectrum has non-real coefficients")
-    if np.any(coeffs.real < -1e-10):
+    if np.any(coeffs.real < -NEGATIVE_WEIGHT_TOL):
         raise NumericalFailureError(
             "overlap spectrum has negative weights beyond tolerance"
         )
@@ -395,7 +402,9 @@ def nonperiodic_fourier_bound(family_fn, prior_fn, support) -> BoundReport:
     "slow_convergence" (the last doubling moved 1e-4 to 1e-3 bits), then
     the states report's own: "truncated_spectrum" if the band missed 1e-9
     to 1e-8 of the mass, as a Gaussian sigma = 0.1 prior on (-0.5, 0.5)
-    does (9.0e-9). Raises NumericalFailureError if the band cannot be made
+    does (9.0e-9). Raises ValidationError for a support end that is not
+    finite and for a window whose grid would exceed MAX_POINTS, before
+    prior_fn sees it; NumericalFailureError if the band cannot be made
     wide enough or the last doubling moved more than 1e-3 bits.
     """
     a, b_end = float(support[0]), float(support[1])
@@ -405,10 +414,15 @@ def nonperiodic_fourier_bound(family_fn, prior_fn, support) -> BoundReport:
     history = []
     k_band = 16.0
     window = 4.0 * (b_end - a)
+    # an infinite end, or a width whose band count is past float range;
+    # a finite one too wide for the grid cap is refused in the loop
+    if not math.isfinite(k_band * window):
+        raise ValidationError("support must be a finite interval")
     for _ in range(7):
         for _ in range(7):
             n_side = int(np.ceil(k_band * window))
             n_grid = max(4 * n_side + 2, 256)  # even, as the grids need
+            check_points(n_grid, f"window {window:g}: grid")
             h = window / n_grid
             phis = mid - 0.5 * window + np.arange(n_grid) * h
             dens = np.clip(np.asarray(prior_fn(phis), dtype=float), 0.0, None)
@@ -453,7 +467,7 @@ def mle_lower_bound(fisher: float) -> BoundReport:
     Large-F maximum-likelihood performance; meaningful once F is well
     above 2 pi e, hence the "asymptotic" flag.
     """
-    if fisher <= 0.0:
+    if not fisher > 0.0:  # fails on NaN too
         raise ValidationError("fisher must be positive for the MLE estimate")
     return BoundReport(method="mle-lower", prior_entropy_bits=0.0,
                        bound_bits=0.5 * math.log2(fisher / (TWO_PI * math.e)),
@@ -472,7 +486,7 @@ def companion_bound_comparison(fisher: float):
       reference_form = log2(1 + 0.5 sqrt(F))
     with fisher_form <= sqrt_form <= reference_form for every F >= 0.
     """
-    if fisher < 0.0:
+    if not fisher >= 0.0:  # fails on NaN too
         raise ValidationError("fisher must be nonnegative")
     sigma2 = fisher_sigma2(fisher)
     fisher_form = fisher_curve_bits(sigma2)

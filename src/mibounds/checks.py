@@ -186,7 +186,7 @@ def fourier_below_fisher(ms=(1, 2, 3), n_grid=None):
             for eta in (0.25, 0.5, 0.75, 1.0):
                 fr = fourier_bound_from_overlap(
                     overlap_function(NoisyQpeModel(kind, m, eta), n_grid))
-                fb = fisher_bound(fr.spectrum.second_moment())
+                fb = fisher_bound(fr.sigma2)
                 worst = min(worst, fb.bound_bits - fr.bound_bits)
     return worst > -1e-9, f"min fisher-fourier gap {worst:.3e} bits"
 

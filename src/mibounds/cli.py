@@ -188,11 +188,6 @@ def cmd_bound(args, command):
 
 
 def cmd_figure(args, command):
-    if args.name not in FIGURES:
-        raise ValidationError(
-            f"unknown figure {args.name!r}; choose from "
-            f"{', '.join(sorted(FIGURES))}"
-        )
     # each builder takes the options named like its parameters; --seed,
     # --out-dir and --svg are common to every figure; any other flag the
     # builder does not take is an error
@@ -315,7 +310,7 @@ COMMANDS = {
         Param("out", str, help="write the JSON report here"),
     )),
     "figure": (cmd_figure, "emit a dataset as CSV (and SVG)",
-               Param("name", str, help=" | ".join(FIGURES)), (
+               Param("name", tuple(FIGURES)), (
         Param("kind", KINDS),
         Param("M_max", int, None, 1),
         Param("eta_min", float),

@@ -11,10 +11,10 @@ Conventions used throughout the package:
 * every entropy is reported in bits; internally entropies are accumulated
   with natural logs and divided by LN2 once.
 
-Records (here PeriodicGridFunction and FourierSpectrum) are immutable
-named tuples that validate and normalize their fields in __new__. They
-compare as tuples, _asdict gives their fields, and _replace builds a
-copy through the same checks.
+Records (here PeriodicGridFunction) are immutable named tuples that
+validate and normalize their fields in __new__. They compare as tuples,
+_asdict gives their fields, and _replace builds a copy through the same
+checks.
 """
 
 from __future__ import annotations
@@ -53,6 +53,12 @@ def check_periodic_grid(n_grid):
         raise ValidationError("grid size must be even and at least 2")
 
 
+def _check_period(period):
+    """The period rule of every periodic grid: finite and positive."""
+    if not (np.isfinite(period) and period > 0.0):
+        raise ValidationError("period must be finite and positive")
+
+
 # the most points the package allocates for one grid or integer support
 # (64 MiB of complex128); a larger request is bad input, refused before
 # anything is allocated
@@ -79,8 +85,7 @@ class PeriodicGridFunction(record("PeriodicGridFunction", "period values")):
     __slots__ = ()
 
     def __new__(cls, period, values):
-        if not (np.isfinite(period) and period > 0.0):
-            raise ValidationError("period must be finite and positive")
+        _check_period(period)
         vals = np.atleast_1d(np.asarray(values))
         if vals.ndim != 1:
             raise ValidationError("values must be a one-dimensional array")
@@ -101,29 +106,6 @@ class PeriodicGridFunction(record("PeriodicGridFunction", "period values")):
     def from_callable(cls, fn, period, n_grid):
         phis = np.arange(n_grid) * (period / n_grid)
         return cls(period, np.asarray(fn(phis)))
-
-
-class FourierSpectrum(record("FourierSpectrum", "ks weights")):
-    """Nonnegative Fourier weights f_k on an integer index window; weights
-    down to -1e-10 are roundoff and clipped to 0."""
-
-    __slots__ = ()
-
-    def __new__(cls, ks, weights):
-        ks = np.asarray(ks, dtype=int)
-        w = np.asarray(weights, dtype=float)
-        if ks.shape != w.shape or ks.ndim != 1:
-            raise ValidationError("ks and weights must be matching 1-d arrays")
-        if np.any(w < -NEGATIVE_WEIGHT_TOL):
-            raise ValidationError("spectrum weight below -1e-10")
-        return super().__new__(cls, ks, np.clip(w, 0.0, None))
-
-    def entropy_bits(self):
-        return entropy_bits_of_weights(self.weights)
-
-    def second_moment(self):
-        """sum_k k^2 f_k over the stored window."""
-        return float((self.ks.astype(float) ** 2 * self.weights).sum())
 
 
 def _check_alias_window(n_grid, k_min, k_max):

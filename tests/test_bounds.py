@@ -30,10 +30,12 @@ from mibounds.channels import (
     CHANNEL_KINDS,
     NoisyQpeModel,
     chi_closed_form,
+    mode_weight_args,
+    overlap_function,
     purified_state_family,
 )
 from mibounds.errors import NumericalFailureError, ValidationError
-from mibounds.numerics import PeriodicGridFunction
+from mibounds.numerics import PeriodicGridFunction, fourier_modes
 
 TWO_PI = 2.0 * np.pi
 
@@ -240,7 +242,9 @@ def test_fourier_bound_of_binary_superposition():
     rep = fourier_bound_from_overlap(f)
     assert abs(rep.bound_bits - 1.0) < 1e-10
     assert rep.flags == ()
-    d = dict(zip(rep.spectrum.ks.tolist(), rep.spectrum.weights))
+    assert abs(rep.sigma2 - 0.5) < 1e-12  # sum k^2 f_k = 0.5 * 1
+    ks, coeffs = fourier_modes(f, (-63, 63))
+    d = dict(zip(ks.tolist(), coeffs.real))
     assert abs(d[0] - 0.5) < 1e-12 and abs(d[1] - 0.5) < 1e-12
 
 
@@ -295,6 +299,14 @@ def test_state_family_validation():
         StateFamily(1.0, np.ones((64, 2)))  # norm sqrt(2), not 1
     with pytest.raises(ValidationError):
         StateFamily(1.0, np.ones(64))  # not 2-d
+
+
+@pytest.mark.parametrize("period", [math.nan, math.inf, 0.0, -1.0])
+def test_state_family_refuses_a_bad_period(period):
+    """A NaN period reached the spectral route, which raised a numerical
+    failure (exit 3) for what is bad input."""
+    with pytest.raises(ValidationError, match="period must be finite and positive"):
+        StateFamily(period, _binary_family(64).states)
 
 
 def _binary_family(g):
@@ -374,12 +386,12 @@ def test_states_route_blocks_match_unblocked_fft():
     phis = np.arange(g) / g
     density = 1.0 + 0.5 * np.cos(TWO_PI * phis)
     prior = PriorDensity(1.0, density)
-    ks = np.arange(-7, 9)
-    rep = fourier_bound_from_states(StateFamily(1.0, states), prior, (-7, 8))
+    ks, weights = bounds._spectrum_from_states(StateFamily(1.0, states), prior,
+                                               (-7, 8))
     coeffs = np.fft.fft(np.sqrt(density)[:, None] * states, axis=0) / g
     oracle = (np.abs(coeffs[np.mod(ks, g)]) ** 2).sum(axis=1)
-    assert np.array_equal(rep.spectrum.ks, ks)
-    assert np.max(np.abs(rep.spectrum.weights - oracle)) < 1e-12
+    assert np.array_equal(ks, np.arange(-7, 9))
+    assert np.max(np.abs(weights - oracle)) < 1e-12
 
 
 def test_states_route_memory_is_input_plus_one_block():
@@ -415,8 +427,15 @@ def test_states_route_matches_chi_closed_form(kind, n_qubits, eta, extra):
     family = StateFamily(1.0, purified_state_family(model, prior.grid))
     rep = fourier_bound_from_states(family, prior, (-k_side, k_side))
     assert abs(rep.bound_bits - chi_closed_form(model)) < 1e-8
-    assert rep.spectrum.weights.sum() <= 1.0 + 1e-9
     assert rep.flags == ()
+    # the product spectrum's second moment: the variance of a sum of
+    # independent 2^j-scaled Bernoulli(x_j) plus the square of its mean
+    xs = mode_weight_args(model)
+    mean = sum(2.0**j * x for j, x in enumerate(xs))
+    sigma2 = sum(4.0**j * x * (1.0 - x) for j, x in enumerate(xs)) + mean**2
+    assert abs(rep.sigma2 - sigma2) < 1e-12 * max(sigma2, 1.0)
+    over = fourier_bound_from_overlap(overlap_function(model, g))
+    assert abs(over.sigma2 - sigma2) < 1e-12 * max(sigma2, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -500,9 +519,11 @@ def test_mle_gap_shrinks_to_limit():
 
 
 def test_mle_lower_bound_validation():
-    for fisher in (0.0, -1.0):
+    for fisher in (0.0, -1.0, math.nan):
         with pytest.raises(ValidationError, match="positive for the MLE"):
             mle_lower_bound(fisher)
+    with pytest.raises(ValidationError, match="fisher must be nonnegative"):
+        companion_bound_comparison(math.nan)  # returned three NaNs
 
 
 def test_companion_bound_ordering():
@@ -549,6 +570,27 @@ def test_nonperiodic_validation():
     prior_fn = lambda x: np.ones_like(x)
     with pytest.raises(ValidationError):
         nonperiodic_fourier_bound(fam, prior_fn, (0.5, 0.5))
+
+
+def _unreached_prior(phis):
+    raise AssertionError(f"prior_fn called on {len(phis)} points")
+
+
+@pytest.mark.parametrize("support,match", [
+    ((0.0, 2e4), r"grid of 5120002 points exceeds the 4194304-point cap"),
+    ((0.0, math.inf), "support must be a finite interval"),
+    ((-math.inf, 0.0), "support must be a finite interval"),
+    ((-math.inf, math.inf), "support must be a finite interval"),
+    ((0.0, 1e307), "support must be a finite interval"),
+    ((0.0, math.nan), "nonempty interval"),
+], ids=["over-cap", "inf-end", "minus-inf-end", "both-inf", "band-overflow",
+        "nan-end"])
+def test_nonperiodic_refuses_before_the_prior_sees_a_grid(support, match):
+    """(0, 2e4) handed prior_fn a 5,120,002-point grid, over the cap, and
+    an infinite end ended in OverflowError."""
+    fam = lambda x: np.tile(np.array([1.0 + 0j, 0.0]), (len(x), 1))
+    with pytest.raises(ValidationError, match=match):
+        nonperiodic_fourier_bound(fam, _unreached_prior, support)
 
 
 def scripted_nonperiodic(monkeypatch, script):

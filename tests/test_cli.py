@@ -32,7 +32,7 @@ from mibounds.channels import (
     overlap_function,
 )
 from mibounds.cli import main
-from mibounds.numerics import MAX_POINTS
+from mibounds.numerics import MAX_POINTS, entropy_bits_of_weights
 from mibounds.protocols import EntangledState, posterior_entropy
 
 REPORT_KEYS = {
@@ -354,6 +354,21 @@ def test_bound_overlap_csv(capsys, tmp_path):
     assert abs(json.loads(out)["bound_bits"] - 1.0) < 1e-9
 
 
+def test_bound_overlap_reports_its_second_moment(capsys, tmp_path):
+    """An overlap report's sigma2 is sum k^2 f_k over its window (it printed
+    null); the channel closed form has no sigma2 yet."""
+    ks, w = np.arange(-2, 3), np.array([0.1, 0.2, 0.4, 0.2, 0.1])
+    overlap = tmp_path / "overlap.csv"
+    write_overlap(overlap, np.exp(2j * np.pi * np.outer(np.arange(64) / 64, ks)) @ w)
+    code, out, _ = run_cli(capsys, "bound", "--overlap", str(overlap))
+    report = json.loads(out)
+    assert code == 0 and abs(report["sigma2"] - 1.2) < 1e-12
+    assert abs(report["bound_bits"] - entropy_bits_of_weights(w)) < 1e-12
+    code, out, _ = run_cli(capsys, "bound", "--channel", "erasure", "--M", "3",
+                           "--eta", "0.5", "--method", "fourier")
+    assert code == 0 and json.loads(out)["sigma2"] is None
+
+
 def test_bound_step_model_exits_three(capsys, tmp_path):
     """A grid-scale discontinuity is reported as a numerical failure."""
     model = tmp_path / "step.csv"
@@ -655,8 +670,11 @@ def test_figure_with_no_finite_value_draws_empty_axes(capsys, tmp_path):
 
 
 def test_figure_unknown_name(capsys):
-    code, _, err = run_cli(capsys, "figure", "no_such_plot")
-    assert code == 2 and "unknown figure" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "no_such_plot"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument name: invalid choice: 'no_such_plot'" in captured.err
 
 
 @pytest.mark.parametrize("argv,flag", [

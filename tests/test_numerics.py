@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from mibounds.errors import ValidationError
 from mibounds.numerics import (
     MAX_POINTS,
-    FourierSpectrum,
     PeriodicGridFunction,
     binary_entropy,
     coefficients_to_density,
@@ -155,11 +154,6 @@ def test_parseval_mass_and_tail():
         tails = [max(0.0, 1.0 - mass) for mass in masses]
         assert tails[0] >= tails[1] >= tails[2] >= 0.0
         assert tails[2] < 1e-10
-
-
-def test_spectrum_second_moment():
-    spec = FourierSpectrum(np.array([-1, 0, 1]), np.array([0.25, 0.5, 0.25]))
-    assert abs(spec.second_moment() - 0.5) < 1e-15
 
 
 def test_differential_entropy_of_uniform():

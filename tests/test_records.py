@@ -13,7 +13,7 @@ from mibounds.channels import NoisyQpeModel
 from mibounds.checks import CheckResult
 from mibounds.errors import ValidationError
 from mibounds.figures import FigureData
-from mibounds.numerics import FourierSpectrum, PeriodicGridFunction
+from mibounds.numerics import PeriodicGridFunction
 from mibounds.protocols import EntangledState, SeedPair, TwoSeedResult
 
 PRIOR = PriorDensity.uniform(1.0, 8)
@@ -24,8 +24,6 @@ STATE = EntangledState(np.array([0.6, 0.8]))
 RECORDS = [
     (PeriodicGridFunction, ("period", "values"), {},
      dict(period=1.0, values=np.cos(np.arange(8.0)) + 2j)),
-    (FourierSpectrum, ("ks", "weights"), {},
-     dict(ks=np.arange(-1, 2), weights=np.array([0.25, 0.5, 0.25]))),
     (PriorDensity, ("period", "values", "entropy_bits"), {},
      dict(period=2.0, values=np.linspace(0.25, 0.75, 8))),
     (StateFamily, ("period", "states"), {},
@@ -33,12 +31,11 @@ RECORDS = [
     (EstimationModel, ("prior", "conditional"), {},
      dict(prior=PRIOR, conditional=np.full((8, 2), 0.5))),
     (BoundReport, ("method", "bound_bits", "prior_entropy_bits", "sigma2",
-                   "tail_mass_bound", "flags", "spectrum", "history"),
-     {"sigma2": None, "tail_mass_bound": None, "flags": (), "spectrum": None,
-      "history": ()},
+                   "tail_mass_bound", "flags", "history"),
+     {"sigma2": None, "tail_mass_bound": None, "flags": (), "history": ()},
      dict(method="fourier", bound_bits=1.5, prior_entropy_bits=0.0, sigma2=0.1,
           tail_mass_bound=0.0, flags=("truncated_spectrum",),
-          spectrum=FourierSpectrum([0, 1], [0.5, 0.5]), history=((1, 2.0),))),
+          history=((1, 2.0),))),
     (NoisyQpeModel, ("kind", "n_qubits", "eta"), {},
      dict(kind="erasure", n_qubits=3, eta=0.5)),
     (EntangledState, ("coefficients",), {},
