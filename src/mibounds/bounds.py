@@ -185,7 +185,8 @@ class BoundReport(namedtuple(
 
 
 def _spectrum_from_states(family: StateFamily, prior: PriorDensity, k_range):
-    if abs(family.period - prior.period) > 1e-12 or family.n_grid != prior.n_grid:
+    p, q = family.period, prior.period  # one period within 1e-12, relative
+    if abs(p - q) > 1e-12 * max(p, q) or family.n_grid != prior.n_grid:
         raise ValidationError("state family and prior must share one grid")
     k_min, k_max = int(k_range[0]), int(k_range[1])
     g = family.n_grid

@@ -60,6 +60,8 @@ from .svgplot import render_line_plot
 
 
 def _format_cell(v) -> str:
+    if type(v) is float:  # the common cell, first
+        return repr(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
@@ -76,7 +78,7 @@ def _write_csv(path: Path, command: str, seed, columns, rows):
         f"# version: {__version__}",
         ",".join(columns),
     ]
-    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_format_cell, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

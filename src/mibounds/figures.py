@@ -114,31 +114,25 @@ def figure_entropy2(N=255, restarts=8, seed=7, grid=None):
     uniform = EntangledState.uniform(n_calls)
     post_u = covariant_posterior(uniform, grid)
     post_o = covariant_posterior(optimal, grid)
-    thetas = post_u.grid
-    rows = tuple(
-        (float(t), float(pu), float(po))
-        for t, pu, po in zip(thetas, post_u.values, post_o.values)
-    )
+    thetas = post_u.grid.tolist()
+    pu, po = post_u.values.tolist(), post_o.values.tolist()
     posterior = FigureData(
         name="entropy2",
         columns=("theta", "p_uniform", "p_optimal"),
-        rows=rows,
-        series=(
-            ("uniform", list(thetas), list(post_u.values)),
-            ("optimal", list(thetas), list(post_o.values)),
-        ),
+        rows=tuple(zip(thetas, pu, po)),
+        series=(("uniform", thetas, pu), ("optimal", thetas, po)),
         title=f"posterior density, N={n_calls}",
         x_label="theta",
         y_label="density",
     )
-    ks = np.arange(n_calls + 1)
-    wu = uniform.coefficients**2
-    wo = optimal.coefficients**2
+    ks = list(range(n_calls + 1))
+    wu = (uniform.coefficients**2).tolist()
+    wo = (optimal.coefficients**2).tolist()
     weights = FigureData(
         name="entropy2_weights",
         columns=("k", "weight_uniform", "weight_optimal"),
-        rows=tuple((int(k), float(a), float(b)) for k, a, b in zip(ks, wu, wo)),
-        series=(("uniform", list(ks), list(wu)), ("optimal", list(ks), list(wo))),
+        rows=tuple(zip(ks, wu, wo)),
+        series=(("uniform", ks, wu), ("optimal", ks, wo)),
         title=f"squared amplitudes, N={n_calls}",
         x_label="k",
         y_label="weight",

@@ -20,8 +20,9 @@ of seeds measured jointly or sorted into sub-ensembles, reporting the
 mutual-information bookkeeping of each arrangement. Each joint density
 on the (estimate, phase) torus is circulant, so its mutual information
 has the closed form log2 G - H(r / sum r) in the error density r: a
-trial synthesizes its three seed densities in one batched length-G FFT,
-scores the circulant MIs row by row and needs O(G) memory.
+trial fills one (3, N+1) amplitude array, synthesizes its three seed
+densities in one batched length-G FFT, scores the circulant MIs row by
+row and needs O(G) memory.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _entropy_and_grad(c, n_grid, grad=False, work=None):
     np.square(half.imag, out=logp)  # logp holds imag^2 until the log
     p += logp
     np.log(np.maximum(p, 1e-300, out=logp), out=logp)
-    plogp = 2.0 * (p @ logp) - p[0] * logp[0]
+    plogp = 2.0 * p.dot(logp) - p[0] * logp[0]
     if n_grid % 2 == 0:
         plogp -= p[-1] * logp[-1]
     val = -plogp / (n_grid * LN2)
@@ -149,6 +150,7 @@ _HISTORY = 10         # (s, y) pairs kept: L-BFGS-B's default memory
 _LINE_EVALS = 20      # evaluations per line search before it fails
 _C1, _C2, _XTOL = 1e-3, 0.9, 0.1  # the dcsrch constants of L-BFGS-B
 _STPMAX = 1e10        # largest step, L-BFGS-B's unconstrained bound
+_EPS = 2.0 ** -52     # np.finfo(float).eps
 
 
 def minimize(fun, x0, *, ftol, gtol, maxiter):
@@ -169,18 +171,19 @@ def minimize(fun, x0, *, ftol, gtol, maxiter):
     after maxiter iterations. Returns a namespace with x, fun (the value
     at x), nit, nfev, success and message. optimize_en_state looks this
     name up at call time, so rebinding protocols.minimize (to wrap or
-    count the calls) takes effect.
+    count the calls) takes effect. Every 1-d product is ndarray.dot,
+    the BLAS ddot that @ reaches, at about half the call cost.
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
     nit, nfev, pairs = 0, 1, []
     success, message = True, "max|g| <= gtol"
-    while not np.max(np.abs(g)) <= gtol:  # a NaN gradient enters the loop
+    while not np.abs(g).max() <= gtol:  # a NaN gradient enters the loop
         if pairs:
             d, step = -_two_loop(g, pairs), 1.0
         else:
             d = -g
-            step = min(1.0 / np.linalg.norm(g), _STPMAX) if nit == 0 else 1.0
+            step = min(1.0 / math.sqrt(g.dot(g)), _STPMAX) if nit == 0 else 1.0
         x_new, f_new, g_new, evals = _line_search(fun, x, f, g, d, step)
         nfev += evals
         if x_new is None:
@@ -191,9 +194,9 @@ def minimize(fun, x0, *, ftol, gtol, maxiter):
             break
         nit += 1
         s, y = x_new - x, g_new - g
-        sy = float(s @ y)
-        if sy > np.finfo(float).eps * -float(g @ s):
-            pairs.append((s, y, 1.0 / sy, float(y @ y)))
+        sy = float(s.dot(y))
+        if sy > _EPS * -float(g.dot(s)):
+            pairs.append((s, y, 1.0 / sy, float(y.dot(y))))
             del pairs[:-_HISTORY]
         f_old, x, f, g = f, x_new, f_new, g_new
         if nit >= maxiter:
@@ -212,13 +215,13 @@ def _two_loop(g, pairs):
     q = g.copy()
     alphas = []
     for s, y, rho, _ in reversed(pairs):
-        a = rho * float(s @ q)
+        a = rho * float(s.dot(q))
         q -= a * y
         alphas.append(a)
     _, _, rho, yy = pairs[-1]
     q *= 1.0 / (rho * yy)
     for (s, y, rho, _), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * float(y @ q)) * s
+        q += (a - rho * float(y.dot(q))) * s
     return q
 
 
@@ -231,7 +234,7 @@ def _line_search(fun, x, f0, g0, d, stp):
     None when d is not a descent direction, at a value or slope that is
     not finite, or after 20 evaluations.
     """
-    ginit = float(g0 @ d)
+    ginit = float(g0.dot(d))
     if not ginit < 0.0:
         return None, f0, g0, 0
     gtest = _C1 * ginit
@@ -244,7 +247,7 @@ def _line_search(fun, x, f0, g0, d, stp):
     for evals in range(1, _LINE_EVALS + 1):
         xt = x + stp * d
         f, g = fun(xt)
-        dg = float(g @ d)
+        dg = float(g.dot(d))
         if not (math.isfinite(f) and math.isfinite(dg)):
             return None, f0, g0, evals
         ftest = f0 + stp * gtest
@@ -363,10 +366,10 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None):
     work = _workspace(n_grid)  # shared by every start and evaluation
 
     def value_and_grad(x):
-        r = np.linalg.norm(x)
+        r = math.sqrt(x.dot(x))
         c = x / r
         val, g_c = _entropy_and_grad(c, n_grid, grad=True, work=work)
-        return val, (g_c - float(g_c @ c) * c) / r  # without the scale direction
+        return val, (g_c - float(g_c.dot(c)) * c) / r  # without the scale direction
 
     starts = [np.full(n, 1.0)]
     for i in range(1, int(restarts)):
@@ -378,7 +381,7 @@ def optimize_en_state(n_calls: int, *, restarts=8, seed=0, n_grid=None):
         res = minimize(value_and_grad, x0, ftol=1e-12, gtol=1e-9,
                        maxiter=5000)
         # res.fun was computed from this same c: it is the entropy of c
-        c = res.x / np.linalg.norm(res.x)
+        c = res.x / math.sqrt(res.x.dot(res.x))
         val = res.fun
         trace.append(val)
         if val < best_val:
@@ -483,16 +486,19 @@ def two_seed_experiment(pair: SeedPair, n_grid=256) -> TwoSeedResult:
     mi_split exceeds mi_single beyond 1e-9 (never observed).
     """
     n_grid = int(n_grid)
-    c = pair.state.coefficients.astype(complex)
+    c = pair.state.coefficients
     check_two_seed_grid(c.size - 1, n_grid)
 
-    # rows: the single seed, then seeds 1 and 2, from one batched FFT
-    r = synthesized_density(
-        np.stack((c, np.conj(pair.a) * c, np.conj(pair.b) * c)), n_grid)
+    # rows: the single seed, then seeds 1 and 2 (real c enters as c + 0j)
+    rows = np.empty((3, c.size), complex)
+    rows[0] = c
+    np.multiply(np.conj(pair.a, out=rows[1]), c, out=rows[1])
+    np.multiply(np.conj(pair.b, out=rows[2]), c, out=rows[2])
+    r = synthesized_density(rows, n_grid)
 
     # seed masses must not depend on the true phase: column sums of the
     # conditional are constant by covariance, kept as an explicit check
-    lambdas = r[1:].mean(axis=-1)
+    lambdas = r[1:].sum(axis=-1) / n_grid  # the row means
     if abs(lambdas.sum() - 1.0) > 1e-8:
         raise ValidationError("seed masses do not add to one")
 

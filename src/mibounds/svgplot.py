@@ -1,8 +1,9 @@
 """Minimal self-contained SVG line plots.
 
 Deterministic text output: no timestamps, no randomness, fixed float
-formatting. Only polylines, axes, ticks and a legend are supported;
-anything fancier belongs in a real plotting package.
+formatting ('%.6g', with -0.0 written as 0). Only polylines, axes,
+ticks and a legend are supported; anything fancier belongs in a real
+plotting package.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ _MARGIN_R = 16.0
 _MARGIN_T = 34.0
 _MARGIN_B = 46.0
 _WIDTH, _HEIGHT = 720, 480
+_LOG10_MAX = 308.25471555991675  # log10 of the largest float
 
 
 def _fmt(x) -> str:
-    if x == 0.0:
-        return "0"
-    return f"{x:.6g}"
+    """x to 6 significant digits; + 0.0 folds -0.0 (and int 0) into "0"."""
+    return "%.6g" % (x + 0.0)
 
 
 def _escape(text) -> str:
@@ -65,12 +66,14 @@ def _tick_values(lo, hi, log_scale):
     t = math.ceil(lo / step) * step
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
+        if t + step == t:  # step below the spacing of floats at t
+            break
         t += step
     return ticks
 
 
 def _data_range(values, log_scale):
-    vals = [v for v in map(float, values) if math.isfinite(v)]
+    vals = list(filter(math.isfinite, map(float, values)))
     if log_scale:
         vals = [math.log10(v) for v in vals if v > 0.0]
     lo, hi = (min(vals), max(vals)) if vals else (0.0, 0.0)
@@ -78,13 +81,17 @@ def _data_range(values, log_scale):
         lo -= 0.5
         hi += 0.5
     pad = 0.04 * (hi - lo)
-    return lo - pad, hi + pad
+    lo, hi = lo - pad, hi + pad
+    if not 0.0 < hi - lo < math.inf:  # flat beyond 2^53 or past float range
+        raise ValidationError("data range is not a finite, nonzero span")
+    return lo, hi
 
 
 def render_line_plot(series, title="", x_label="", y_label="",
                      log_x=False) -> str:
     """Render (label, xs, ys) triples as a 720 x 480 SVG document string,
-    with a linear y axis."""
+    with a linear y axis. Raises ValidationError when an axis's padded
+    data range is zero in floats (flat data beyond 2^53) or overflows."""
     series = [(str(lab), list(xs), list(ys)) for lab, xs, ys in series]
     if not series:
         raise ValidationError("at least one series is required")
@@ -108,6 +115,8 @@ def render_line_plot(series, title="", x_label="", y_label="",
     if title:
         out.append(_text(title, _WIDTH / 2, 20, 14))
     for t in _tick_values(x_lo, x_hi, log_x):
+        if log_x and t >= _LOG10_MAX:
+            break  # 10.0 ** t overflows: no label past the largest float
         x = px(t)
         out.append(_el("line", x1=x, y1=_MARGIN_T, x2=x, y2=bottom,
                        stroke="#dddddd"))
@@ -128,7 +137,9 @@ def render_line_plot(series, title="", x_label="", y_label="",
 
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = [f"{_fmt(px(math.log10(x) if log_x else x))},{_fmt(py(y))}"
+        # each point is "_fmt(x),_fmt(y)", formatted in one % operation
+        pts = ["%.6g,%.6g" % (px(math.log10(x) if log_x else x) + 0.0,
+                              py(y) + 0.0)
                for x, y in zip(map(float, xs), map(float, ys))
                if math.isfinite(x) and math.isfinite(y)
                and not (log_x and x <= 0.0)]

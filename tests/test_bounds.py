@@ -294,6 +294,27 @@ def test_states_route_rejects_mismatched_grids():
         fourier_bound_from_states(family, PriorDensity.uniform(1.0, 128), (-2, 2))
 
 
+@pytest.mark.parametrize("family_period,prior_period",
+                         [(1e-13, 1.5e-13), (1.5e-13, 1e-13)])
+def test_states_route_rejects_tiny_periods_that_differ(family_period,
+                                                       prior_period):
+    """The period test is relative: 1e-13 and 1.5e-13 differ by a third.
+    An absolute 1e-12 passed both orders, and the route returned a
+    truncated report or raised a numerical failure (exit 3)."""
+    family = StateFamily(family_period, _binary_family(64).states)
+    prior = PriorDensity.uniform(prior_period, 64)
+    with pytest.raises(ValidationError, match="share one grid"):
+        fourier_bound_from_states(family, prior, (-2, 2))
+
+
+def test_states_route_accepts_periods_equal_to_roundoff():
+    family = StateFamily(1.0 + 1e-13, _binary_family(64).states)
+    rep = fourier_bound_from_states(family, PriorDensity.uniform(1.0, 64),
+                                    (-2, 2))
+    assert rep.flags == ()
+    assert rep.bound_bits == pytest.approx(1.0, abs=1e-9)
+
+
 def test_state_family_validation():
     with pytest.raises(ValidationError):
         StateFamily(1.0, np.ones((64, 2)))  # norm sqrt(2), not 1

@@ -1,6 +1,7 @@
 """Figure datasets, the SVG renderer, and the named check suites."""
 
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from mibounds import __version__, svgplot
 from mibounds.checks import SUITES, run_suite
+from mibounds.cli import _write_csv
 from mibounds.errors import ValidationError
 from mibounds.figures import (
     FIGURES,
@@ -179,6 +182,135 @@ def test_svg_bytes_are_pinned(name):
     series, options, digest = SVG_DIGESTS[name]
     svg = render_line_plot(series, **options)
     assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
+
+
+# every cell kind a figure or check report writes: Python and numpy
+# floats (signed zero, non-finite, subnormal, huge), ints, bools, strings
+CSV_ROWS = [
+    (-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1),
+    (np.float64(0.1), np.float64(-0.0), np.float64(math.nan),
+     np.float64(-math.inf), np.float64(1e-310), 1.0, 2.5e-7),
+    (0, -3, 2**70, np.int64(-7), np.int64(0), True, False),
+    ("theta", "a;b c", "", 3, 0.5, np.float64(123456789.0), "x"),
+]
+CSV_DIGEST = "8b728cda7c8da0780eec17f231cf546f800bccdcb775c72aac99d2bda0e5893b"
+
+
+def test_csv_bytes_are_pinned(tmp_path):
+    """_write_csv's file is byte for byte the one this digest records (the
+    version line aside, so a release does not move it)."""
+    path = tmp_path / "rows.csv"
+    _write_csv(path, "mibounds figure demo", 5, ("a", "b", "c", "d", "e", "f", "g"),
+               CSV_ROWS)
+    text = path.read_bytes().decode("utf-8")
+    text = text.replace(f"# version: {__version__}\n", "# version: V\n")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CSV_DIGEST
+
+
+def _old_fmt(x):
+    """svgplot's earlier two-branch number rule, kept as the oracle."""
+    if x == 0.0:
+        return "0"
+    return f"{x:.6g}"
+
+
+def _old_data_range(values, log_scale):
+    vals = [v for v in map(float, values) if math.isfinite(v)]
+    if log_scale:
+        vals = [math.log10(v) for v in vals if v > 0.0]
+    lo, hi = (min(vals), max(vals)) if vals else (0.0, 0.0)
+    if hi - lo < 1e-12:
+        lo -= 0.5
+        hi += 0.5
+    pad = 0.04 * (hi - lo)
+    return lo - pad, hi + pad
+
+
+def _old_polylines(series, log_x):
+    """Each non-empty polyline's points, formatted point by point with
+    _old_fmt on the renderer's axis transform."""
+    x_lo, x_hi = _old_data_range([x for _, xs, _ in series for x in xs], log_x)
+    y_lo, y_hi = _old_data_range([y for _, _, ys in series for y in ys], False)
+    plot_w = svgplot._WIDTH - svgplot._MARGIN_L - svgplot._MARGIN_R
+    plot_h = svgplot._HEIGHT - svgplot._MARGIN_T - svgplot._MARGIN_B
+    out = []
+    for _, xs, ys in series:
+        pts = []
+        for x, y in zip(map(float, xs), map(float, ys)):
+            if not (math.isfinite(x) and math.isfinite(y)) or log_x and x <= 0.0:
+                continue
+            t = math.log10(x) if log_x else x
+            px = svgplot._MARGIN_L + (t - x_lo) / (x_hi - x_lo) * plot_w
+            py = svgplot._MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+            pts.append(f"{_old_fmt(px)},{_old_fmt(py)}")
+        if pts:
+            out.append(" ".join(pts))
+    return out
+
+
+# all floats, so non-finite, signed-zero, subnormal and huge values come up
+_any_float = hst.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_special = hst.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300,
+                             1.7e308, math.nan, math.inf, -math.inf, 1.0, -1.0])
+_value = hst.one_of(_any_float, _special, hst.integers(-10**6, 10**6))
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=hst.one_of(_any_float, _special, hst.integers(-2**80, 2**80)))
+@example(x=-0.0)
+@example(x=0)
+@example(x=True)
+@example(x=1e16)
+@example(x=12345678)
+def test_fmt_matches_the_two_branch_rule(x):
+    assert svgplot._fmt(x) == _old_fmt(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series=hst.lists(
+           hst.integers(0, 12).flatmap(lambda n: hst.tuples(
+               hst.just("s"), hst.lists(_value, min_size=n, max_size=n),
+               hst.lists(_value, min_size=n, max_size=n))),
+           min_size=1, max_size=3),
+       log_x=hst.booleans())
+@example(series=[("s", [-1.0, 0.0, 5e-324, 1e308], [-0.0, 0.0, 1e-310, -2.0])],
+         log_x=True)
+@example(series=[("s", [0.0, 1.0], [1e20, 1.0000000000000002e20])],
+         log_x=False)
+def test_polyline_points_match_per_point_formatting(series, log_x):
+    """Every polyline point is f"{old_fmt(px)},{old_fmt(py)}" on the same
+    axis transform; data whose padded range is zero or overflows is
+    refused (it used to raise ValueError or OverflowError)."""
+    x_lo, x_hi = _old_data_range([x for _, xs, _ in series for x in xs], log_x)
+    y_lo, y_hi = _old_data_range([y for _, _, ys in series for y in ys], False)
+    if not (0.0 < x_hi - x_lo < math.inf and 0.0 < y_hi - y_lo < math.inf):
+        with pytest.raises(ValidationError, match="finite, nonzero span"):
+            render_line_plot(series, log_x=log_x)
+        return
+    svg = render_line_plot(series, log_x=log_x)
+    got = [el.get("points") for el in ET.fromstring(svg).iter(SVG + "polyline")]
+    assert got == _old_polylines(series, log_x)
+
+
+@pytest.mark.parametrize("ys", [[1e20, 1e20], [-1e308, 1e308],
+                                [0.5 * 1.797e308, 0.999 * 1.797e308]])
+def test_svg_refuses_a_range_floats_cannot_span(ys):
+    """Flat data beyond 2^53 has a zero padded range, and a range past
+    1.8e308 overflows: both raised from the tick arithmetic before."""
+    with pytest.raises(ValidationError, match="finite, nonzero span"):
+        render_line_plot([("a", [0.0, 1.0], ys)])
+
+
+@pytest.mark.parametrize("xs,ys,log_x", [
+    # 1e20 and the next float span 16384, so ticks step by 5000, which
+    # adding to 1e20 does not change: the tick loop never ended
+    ([0.0, 1.0], [1e20, 1.0000000000000002e20], False),
+    # the padded log range reaches decade 333: 10.0 ** 309 overflowed
+    ([5e-324, 1e308], [0.0, 1.0], True),
+])
+def test_svg_ticks_at_the_ends_of_the_float_range(xs, ys, log_x):
+    svg = render_line_plot([("a", xs, ys)], log_x=log_x)
+    assert len(list(ET.fromstring(svg).iter(SVG + "polyline"))) == 1
 
 
 def test_check_suite_names():
